@@ -15,19 +15,12 @@ import sys
 from pathlib import Path
 
 from ustep.evaluation import load_labeled_dataset, robustness_stats, sweep
+from ustep.tokens import read_mask_rules
 
 DATASETS = ["Apache", "BGL", "Hadoop", "HDFS", "HPC", "Mac",
             "OpenSSH", "OpenStack", "Thunderbird", "Zookeeper"]
 MASK_DIR = Path(__file__).resolve().parent / "masks"
 GRID = [(s / 10, p) for s in range(3, 9) for p in (2, 4, 6, 8, 12, 16)]
-
-
-def mask_rules(name):
-    path = MASK_DIR / f"{name}.txt"
-    if not path.exists():
-        return []
-    return [l.strip() for l in path.read_text().splitlines()
-            if l.strip() and not l.startswith("#")]
 
 
 def main():
@@ -44,8 +37,9 @@ def main():
             print(f"skipping {name}: {path} not found", file=sys.stderr)
             continue
         records = load_labeled_dataset(path)
-        best, _ = sweep(records, GRID, mask_rules=mask_rules(name),
-                        dataset_name=name)
+        masks = MASK_DIR / f"{name}.txt"
+        rules = read_mask_rules(masks) if masks.exists() else []
+        best, _ = sweep(records, GRID, mask_rules=rules, dataset_name=name)
         per_dataset[name] = best
         print(f"{name:12s} PA={best['parsing_accuracy']:.3f} "
               f"(sigma={best['sigma']}, phi={best['phi']})", file=sys.stderr)

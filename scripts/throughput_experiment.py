@@ -10,27 +10,10 @@ Usage: python3 scripts/throughput_experiment.py [--lines N] [--templates K]
 """
 
 import argparse
-import random
 import sys
 
-from ustep.evaluation import throughput_bench, write_timing_csv
+from ustep.evaluation import run_miner, synthetic_stream, write_timing_csv
 from ustep.miner import MinerConfig
-
-
-def synthetic_stream(n_lines, n_templates, seed=0):
-    rng = random.Random(seed)
-    pool = []
-    for k in range(n_templates):
-        length = rng.randrange(5, 13)
-        variable = set(rng.sample(range(length), 2))
-        tokens = [None if j in variable else f"k{k}p{j}"
-                  for j in range(length)]
-        for _ in range(5):
-            pool.append(" ".join(
-                f"u{rng.randrange(40)}" if t is None else t for t in tokens))
-    rng.shuffle(pool)
-    for i in range(n_lines):
-        yield pool[i % len(pool)]
 
 
 def main():
@@ -44,9 +27,8 @@ def main():
     args = ap.parse_args()
 
     cfg = MinerConfig(sigma=args.sigma, phi=args.phi)
-    report = throughput_bench(
-        cfg, synthetic_stream(args.lines, args.templates),
-        args.chunk_size, dataset_name="synthetic")
+    report = run_miner(cfg, synthetic_stream(args.lines, args.templates),
+                       args.chunk_size, dataset_name="synthetic")[1]
     with open(args.out, "w", newline="") as fh:
         write_timing_csv(report, fh)
     rate = report.total_messages / report.total_seconds

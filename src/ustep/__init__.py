@@ -29,7 +29,6 @@ from .evaluation import (
     load_labeled_dataset,
     robustness_stats,
     run_miner,
-    throughput_bench,
 )
 
 __version__ = "0.1.0"
@@ -41,5 +40,5 @@ __all__ = [
     "preprocess", "render", "tokenize",
     "GroupingReport", "LabeledRecord", "RobustnessReport",
     "ThroughputReport", "grouping_accuracy", "load_labeled_dataset",
-    "robustness_stats", "run_miner", "throughput_bench",
+    "robustness_stats", "run_miner",
 ]

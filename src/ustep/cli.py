@@ -6,9 +6,9 @@ import io
 import json
 import sys
 import time
+from dataclasses import asdict
 
 from .evaluation import (
-    DatasetFormatError,
     grouping_accuracy,
     load_labeled_dataset,
     run_miner,
@@ -16,23 +16,12 @@ from .evaluation import (
     write_timing_csv,
 )
 from .miner import Miner, MinerConfig, SnapshotError
-from .tokens import ConfigError
+from .tokens import read_mask_rules
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_SNAPSHOT = 3
-
-
-def _read_mask_rules(path):
-    """One regex per line; '#' starts a comment; applied in file order."""
-    rules = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                rules.append(line)
-    return rules
 
 
 def _read_grid(path):
@@ -53,13 +42,13 @@ def _read_grid(path):
 
 
 def _open_input(path):
-    if path == "-":
-        return sys.stdin
-    return open(path, encoding="utf-8", errors="replace")
+    """Raw lines from a file or stdin; undecodable bytes become U+FFFD."""
+    binary = sys.stdin.buffer if path == "-" else open(path, "rb")
+    return io.TextIOWrapper(binary, encoding="utf-8", errors="replace")
 
 
 def _build_config(args):
-    rules = _read_mask_rules(args.masks) if args.masks else []
+    rules = read_mask_rules(args.masks) if args.masks else []
     return MinerConfig(sigma=args.sigma, phi=args.phi, mask_rules=rules,
                        strict_wildcard_sim=args.strict_sim)
 
@@ -116,8 +105,8 @@ def cmd_bench(args):
               file=sys.stderr)
     else:
         print(json.dumps({
-            "grouping": grouping.as_dict(),
-            "throughput": timing.as_dict(),
+            "grouping": asdict(grouping),
+            "throughput": asdict(timing),
         }, indent=2))
     return EXIT_OK
 
@@ -128,7 +117,7 @@ def cmd_sweep(args):
     if not grid:
         print("error: empty hyperparameter grid", file=sys.stderr)
         return EXIT_USAGE
-    rules = _read_mask_rules(args.masks) if args.masks else []
+    rules = read_mask_rules(args.masks) if args.masks else []
     best, results = sweep(records, grid, mask_rules=rules,
                           strict=args.strict_sim,
                           chunk_size=args.chunk_size,
@@ -150,7 +139,7 @@ def cmd_stats(args):
     with open(args.snapshot_in, "rb") as fh:
         miner = Miner.restore(fh.read())
     print(json.dumps({
-        "stats": miner.stats.as_dict(),
+        "stats": asdict(miner.stats),
         "templates": [
             {"id": tid, "template": text, "match_count": count}
             for tid, text, count in miner.templates()
@@ -215,10 +204,10 @@ def main(argv=None):
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (ConfigError, DatasetFormatError, ValueError) as exc:
-        if isinstance(exc, SnapshotError):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_SNAPSHOT
+    except SnapshotError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SNAPSHOT
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

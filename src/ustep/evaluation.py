@@ -1,13 +1,13 @@
 """Scoring and measurement harness: grouping accuracy, throughput, robustness."""
 
 import csv
+import random
+import statistics
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .miner import Miner
+from .miner import Miner, MinerConfig
 
 
 class DatasetFormatError(ValueError):
@@ -32,16 +32,6 @@ class GroupingReport:
     #: ground-truth group -> sorted predicted template ids seen in it
     group_detail: dict = field(default_factory=dict)
 
-    def as_dict(self):
-        return {
-            "dataset_name": self.dataset_name,
-            "total_messages": self.total_messages,
-            "parsing_accuracy": self.parsing_accuracy,
-            "correct_groups": self.correct_groups,
-            "total_groups": self.total_groups,
-            "group_detail": self.group_detail,
-        }
-
 
 @dataclass
 class ThroughputReport:
@@ -50,15 +40,6 @@ class ThroughputReport:
     total_seconds: float
     chunk_size: int
     chunk_seconds: list
-
-    def as_dict(self):
-        return {
-            "dataset_name": self.dataset_name,
-            "total_messages": self.total_messages,
-            "total_seconds": self.total_seconds,
-            "chunk_size": self.chunk_size,
-            "chunk_seconds": self.chunk_seconds,
-        }
 
 
 @dataclass
@@ -179,10 +160,25 @@ def run_miner(config, lines, chunk_size=1000, dataset_name=""):
     return predicted, report, miner
 
 
-def throughput_bench(config, lines, chunk_size, dataset_name=""):
-    """Process a raw line stream once and report per-chunk wall time."""
-    _, report, _ = run_miner(config, lines, chunk_size, dataset_name)
-    return report
+def synthetic_stream(n_lines, n_templates, seed=0):
+    """`n_lines` lines cycling through a shuffled pool of 5 per template.
+
+    Each template has 5-12 tokens, two of them variable (drawn from 40
+    values per line); everything comes from `seed`.
+    """
+    rng = random.Random(seed)
+    pool = []
+    for k in range(n_templates):
+        length = rng.randrange(5, 13)
+        variable = set(rng.sample(range(length), 2))
+        tokens = [None if j in variable else f"k{k}p{j}"
+                  for j in range(length)]
+        for _ in range(5):
+            pool.append(" ".join(
+                f"u{rng.randrange(40)}" if t is None else t for t in tokens))
+    rng.shuffle(pool)
+    for i in range(n_lines):
+        yield pool[i % len(pool)]
 
 
 def robustness_stats(values):
@@ -191,18 +187,21 @@ def robustness_stats(values):
     Quartiles use inclusive linear interpolation so results are
     reproducible across implementations.
     """
-    if not len(values):
-        raise ValueError("robustness_stats requires at least one value")
     vals = [float(v) for v in values]
-    q1, med, q3 = np.percentile(vals, [25, 50, 75])
+    if not vals:
+        raise ValueError("robustness_stats requires at least one value")
+    if len(vals) == 1:  # quantiles() needs two points before Python 3.13
+        q1 = med = q3 = vals[0]
+    else:
+        q1, med, q3 = statistics.quantiles(vals, n=4, method="inclusive")
     return RobustnessReport(
         values=vals,
         minimum=min(vals),
-        q1=float(q1),
-        median=float(med),
-        q3=float(q3),
+        q1=q1,
+        median=med,
+        q3=q3,
         maximum=max(vals),
-        iqr=float(q3 - q1),
+        iqr=q3 - q1,
     )
 
 
@@ -213,8 +212,6 @@ def sweep(records, grid, mask_rules=(), strict=False, chunk_size=1000,
     Returns (best result, all results) where each result is a dict with
     sigma, phi and parsing_accuracy.  Ties go to the earliest grid entry.
     """
-    from .miner import MinerConfig
-
     if not grid:
         raise ValueError("empty hyperparameter grid")
     lines = [r.content for r in records]

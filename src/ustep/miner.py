@@ -9,7 +9,7 @@ position.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .tokens import (
     WILDCARD,
@@ -70,12 +70,11 @@ class Template:
 
 
 class TreeNode:
-    __slots__ = ("kind", "label", "parent", "depth", "pivot", "children",
-                 "templates", "splittable")
+    __slots__ = ("kind", "parent", "depth", "pivot", "children", "templates",
+                 "splittable")
 
-    def __init__(self, kind, label=None, parent=None):
+    def __init__(self, kind, parent=None):
         self.kind = kind
-        self.label = label
         self.parent = parent
         self.depth = 0 if parent is None else parent.depth + 1
         self.pivot = None        # internal nodes only, 0-based position
@@ -91,9 +90,6 @@ class MinerStats:
     messages_processed: int = 0
     splits_performed: int = 0
     max_depth: int = 0
-
-    def as_dict(self):
-        return dict(self.__dict__)
 
 
 @dataclass
@@ -186,7 +182,7 @@ class Miner:
             if child is None and node.kind == INTERNAL:
                 child = node.children.get(WILDCARD)
             if child is None:
-                child = TreeNode(LEAF, label=key, parent=node)
+                child = TreeNode(LEAF, parent=node)
                 node.children[key] = child
                 self.stats.node_count += 1
                 if child.depth > self.stats.max_depth:
@@ -254,7 +250,7 @@ class Miner:
         leaf.templates = None
         leaf.splittable = True
         for label, tpls in groups.items():
-            child = TreeNode(LEAF, label=label, parent=leaf)
+            child = TreeNode(LEAF, parent=leaf)
             child.templates = tpls
             leaf.children[label] = child
         self.stats.node_count += len(groups)
@@ -269,7 +265,7 @@ class Miner:
     def process_message(self, raw):
         """Structure one raw line; any line is parseable."""
         masked = preprocess(raw, self._rules)
-        msg = tokenize(masked, raw)
+        msg = tokenize(masked)
         leaf, steps = self._descend(msg)
         tpl, created, evals = self._assign(leaf, msg)
         scans = 0
@@ -289,19 +285,11 @@ class Miner:
 
     def templates(self):
         """All discovered templates as (id, rendered text, match_count)."""
-        out = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.kind == LEAF:
-                out.extend((t.id, t.render(), t.match_count)
-                           for t in node.templates)
-            else:
-                stack.extend(node.children.values())
-        out.sort()
-        return out
+        return sorted((t.id, t.render(), t.match_count)
+                      for leaf in self.iter_leaves() for t in leaf.templates)
 
     def iter_leaves(self):
+        """Every leaf of the tree, depth first."""
         stack = [self.root]
         while stack:
             node = stack.pop()
@@ -324,7 +312,7 @@ class Miner:
                 "strict_wildcard_sim": self.config.strict_wildcard_sim,
             },
             "next_template_id": self._next_template_id,
-            "stats": self.stats.as_dict(),
+            "stats": asdict(self.stats),
             "tree": _encode_node(self.root),
         }
         return json.dumps(payload, separators=(",", ":")).encode("utf-8")
@@ -335,7 +323,7 @@ class Miner:
         original.  Raises SnapshotError on corrupt or mismatched input."""
         try:
             payload = json.loads(data.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError) as exc:
+        except (UnicodeDecodeError, ValueError, RecursionError) as exc:
             raise SnapshotError(f"unreadable snapshot: {exc}") from exc
         if not isinstance(payload, dict) or payload.get("magic") != SNAPSHOT_MAGIC:
             raise SnapshotError("not a miner snapshot (bad magic)")
@@ -348,10 +336,8 @@ class Miner:
             miner._next_template_id = payload["next_template_id"]
             miner.stats = MinerStats(**payload["stats"])
             miner.root = _decode_node(payload["tree"], None)
-        except (KeyError, TypeError, IndexError) as exc:
+        except (KeyError, TypeError, IndexError, RecursionError) as exc:
             raise SnapshotError(f"malformed snapshot: {exc}") from exc
-        if miner.root.kind != ROOT:
-            raise SnapshotError("malformed snapshot: missing root")
         return miner
 
 
@@ -382,11 +368,16 @@ def _encode_node(node):
     return enc
 
 
-def _decode_node(enc, parent, label=None):
+def _decode_node(enc, parent, length=None):
+    """Rebuild a subtree, rejecting any node that descent could trip on.
+
+    `length` is the root label above the node: every template below it
+    has that many tokens and every pivot indexes into them.
+    """
     kind = enc["kind"]
-    if kind not in (ROOT, INTERNAL, LEAF):
+    if kind not in ((ROOT,) if parent is None else (INTERNAL, LEAF)):
         raise SnapshotError(f"malformed snapshot: bad node kind {kind!r}")
-    node = TreeNode(kind, label=label, parent=parent)
+    node = TreeNode(kind, parent=parent)
     node.splittable = enc["splittable"]
     if kind == LEAF:
         node.templates = [
@@ -394,12 +385,19 @@ def _decode_node(enc, parent, label=None):
                      t["match_count"])
             for t in enc["templates"]
         ]
+        for t in node.templates:
+            if len(t.tokens) != length:
+                raise SnapshotError(
+                    f"malformed snapshot: template length is not {length!r}")
     else:
         if kind == INTERNAL:
             node.pivot = enc["pivot"]
+            if not (isinstance(node.pivot, int) and 0 <= node.pivot < length):
+                raise SnapshotError(f"malformed snapshot: pivot "
+                                    f"{node.pivot!r} outside length {length!r}")
         for raw_label, child_enc in enc["children"]:
             child_label = raw_label if isinstance(raw_label, int) \
                 else _decode_token(raw_label)
             node.children[child_label] = _decode_node(
-                child_enc, node, child_label)
+                child_enc, node, child_label if kind == ROOT else length)
     return node

@@ -37,6 +37,17 @@ def compile_rules(patterns):
     return compiled
 
 
+def read_mask_rules(path):
+    """Mask rules from a file: one regex per line, in file order.
+
+    Each line is stripped first; blank lines and lines starting with '#'
+    are skipped.
+    """
+    with open(path, encoding="utf-8") as fh:
+        return [line for line in map(str.strip, fh)
+                if line and not line.startswith("#")]
+
+
 def preprocess(raw, rules):
     """Replace every span matched by a rule with the wildcard marker.
 
@@ -53,14 +64,13 @@ class TokenizedMessage:
     """A log line split on whitespace, with masked tokens as wildcards."""
 
     tokens: list
-    raw: str = ""
 
     @property
     def length(self):
         return len(self.tokens)
 
 
-def tokenize(masked, raw=None):
+def tokenize(masked):
     """Split a (possibly masked) line into tokens.
 
     Maximal whitespace-free runs become tokens; a token exactly equal to
@@ -69,7 +79,7 @@ def tokenize(masked, raw=None):
     """
     parts = masked.split()
     tokens = [WILDCARD if p == WILDCARD_TEXT else p for p in parts]
-    return TokenizedMessage(tokens, masked if raw is None else raw)
+    return TokenizedMessage(tokens)
 
 
 def render(tokens):

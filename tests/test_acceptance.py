@@ -21,9 +21,10 @@ from ustep.evaluation import (
     load_labeled_dataset,
     run_miner,
     sweep,
+    synthetic_stream,
 )
 from ustep.miner import INTERNAL, LEAF, Miner, MinerConfig
-from ustep.tokens import WILDCARD
+from ustep.tokens import WILDCARD, read_mask_rules
 
 REPO = Path(__file__).resolve().parent.parent
 DATA_DIR = Path(os.environ.get("USTEP_DATA_DIR", REPO / "data"))
@@ -42,11 +43,7 @@ def _dataset_path(name):
 
 
 def _mask_rules(name):
-    path = MASK_DIR / f"{name}.txt"
-    if not path.exists():
-        return []
-    return [l.strip() for l in path.read_text().splitlines()
-            if l.strip() and not l.startswith("#")]
+    return read_mask_rules(MASK_DIR / f"{name}.txt")
 
 
 def _require_dataset(name):
@@ -237,18 +234,7 @@ def test_criterion_4_public_dataset_accuracy(loghub_results):
 def test_criterion_5_constant_time_processing():
     import gc
 
-    rng = random.Random(5)
-    pool = []
-    for k in range(200):
-        length = rng.randrange(5, 13)
-        n_var = 2
-        var_positions = set(rng.sample(range(length), n_var))
-        tokens = [None if j in var_positions else f"k{k}p{j}"
-                  for j in range(length)]
-        for _ in range(5):
-            pool.append(" ".join(
-                f"u{rng.randrange(40)}" if t is None else t for t in tokens))
-    rng.shuffle(pool)
+    pool = list(synthetic_stream(1000, 200, seed=5))
     lengths = [len(l.split()) for l in pool]
 
     miner = Miner(MinerConfig(sigma=0.5, phi=8))

@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from ustep.cli import EXIT_IO, EXIT_OK, EXIT_SNAPSHOT, EXIT_USAGE, main
+from ustep.miner import Miner, MinerConfig
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -86,6 +93,22 @@ def test_parse_unreadable_input(capsys):
     assert "error" in err
 
 
+def test_parse_stdin_decodes_like_input_file(tmp_path):
+    data = b"caf\xe9 ok\nSend 500 bytes\r\nSend \xff\xfe bytes\rlast\n"
+    path = tmp_path / "latin1.log"
+    path.write_bytes(data)
+    cmd = [sys.executable, "-m", "ustep.cli", "parse"]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    via_file = subprocess.run(cmd + ["--input", str(path)], env=env,
+                              capture_output=True, check=True)
+    via_stdin = subprocess.run(cmd, input=data, env=env,
+                               capture_output=True, check=True)
+    assert via_stdin.stdout == via_file.stdout
+    first, *_, last = via_file.stdout.decode().splitlines()
+    assert json.loads(first)["template"] == "caf\ufffd ok"
+    assert json.loads(last)["template"] == "last"
+
+
 def test_parse_bad_masks_file_fails_before_processing(raw_file, tmp_path,
                                                       capsys):
     masks = tmp_path / "masks.txt"
@@ -146,7 +169,6 @@ def test_bench_missing_column(tmp_path, capsys):
 def test_bench_matches_library_run(labeled_file, capsys):
     from ustep.evaluation import (grouping_accuracy, load_labeled_dataset,
                                   run_miner)
-    from ustep.miner import MinerConfig
 
     code, out, _ = run_cli(capsys, "bench", "--input", labeled_file,
                            "--sigma", "0.6", "--phi", "4")
@@ -196,8 +218,6 @@ def test_sweep_empty_grid(labeled_file, tmp_path, capsys):
 # -- stats -----------------------------------------------------------------
 
 def test_stats_fresh_snapshot(tmp_path, capsys):
-    from ustep.miner import Miner
-
     snap = tmp_path / "fresh.bin"
     snap.write_bytes(Miner().snapshot())
     code, out, _ = run_cli(capsys, "stats", "--snapshot-in", str(snap))
@@ -224,6 +244,50 @@ def test_stats_corrupt_snapshot(tmp_path, capsys):
     code, _, err = run_cli(capsys, "stats", "--snapshot-in", str(snap))
     assert code == EXIT_SNAPSHOT
     assert "error" in err
+
+
+def _split_tree_snapshot():
+    """Snapshot whose length-3 leaf has split on pivot 0 into two leaves."""
+    miner = Miner(MinerConfig(phi=1))
+    miner.process_message("a b x")
+    miner.process_message("c d y")
+    return json.loads(miner.snapshot())
+
+
+def _pivot_out_of_range():
+    payload = _split_tree_snapshot()
+    payload["tree"]["children"][0][1]["pivot"] = 7
+    return json.dumps(payload).encode()
+
+
+def _template_of_wrong_length():
+    payload = _split_tree_snapshot()
+    leaf = payload["tree"]["children"][0][1]["children"][0][1]
+    leaf["templates"][0]["tokens"].pop()
+    return json.dumps(payload).encode()
+
+
+def _tree_100k_levels_deep():
+    good = Miner().snapshot().decode()
+    head, _ = good.split('"tree":')
+    depth = 100_000
+    tree = ('{"kind":"root","splittable":true,"children":[[1,'
+            + '{"kind":"internal","splittable":true,"pivot":0,'
+              '"children":[["a",' * depth
+            + '{"kind":"leaf","splittable":true,"templates":[]}'
+            + "]]}" * depth + "]]}")
+    return (head + '"tree":' + tree + "}").encode()
+
+
+@pytest.mark.parametrize("crafted", [
+    _pivot_out_of_range, _template_of_wrong_length, _tree_100k_levels_deep])
+def test_stats_rejects_crafted_tree(crafted, tmp_path, capsys):
+    snap = tmp_path / "crafted.bin"
+    snap.write_bytes(crafted())
+    code, out, err = run_cli(capsys, "stats", "--snapshot-in", str(snap))
+    assert code == EXIT_SNAPSHOT
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_invalid_sigma_rejected(raw_file, capsys):

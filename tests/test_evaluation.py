@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +14,6 @@ from ustep.evaluation import (
     load_labeled_dataset,
     robustness_stats,
     run_miner,
-    throughput_bench,
 )
 from ustep.miner import MinerConfig
 
@@ -126,7 +129,7 @@ def test_load_unreadable_file(tmp_path):
 
 def test_chunk_bookkeeping():
     lines = [f"evt {i % 3} ok" for i in range(95)]
-    rep = throughput_bench(MinerConfig(), lines, chunk_size=10)
+    rep = run_miner(MinerConfig(), lines, chunk_size=10)[1]
     assert rep.total_messages == 95
     assert len(rep.chunk_seconds) == 10
     assert rep.total_seconds == pytest.approx(sum(rep.chunk_seconds))
@@ -140,7 +143,7 @@ def test_state_persists_across_chunks():
 
 
 def test_empty_stream():
-    rep = throughput_bench(MinerConfig(), [], chunk_size=5)
+    rep = run_miner(MinerConfig(), [], chunk_size=5)[1]
     assert rep.total_messages == 0
     assert rep.chunk_seconds == []
     assert rep.total_seconds == 0.0
@@ -148,7 +151,7 @@ def test_empty_stream():
 
 def test_bad_chunk_size():
     with pytest.raises(ValueError):
-        throughput_bench(MinerConfig(), ["x"], chunk_size=0)
+        run_miner(MinerConfig(), ["x"], chunk_size=0)
 
 
 # -- robustness ------------------------------------------------------------
@@ -169,6 +172,19 @@ def test_constant_list_has_zero_iqr():
     assert rep.iqr == 0.0
 
 
+@pytest.mark.parametrize("values, quartiles", [
+    # 7 points: positions 1.5, 3 and 4.5 of the sorted list
+    ([13, 1, 8, 4, 10, 2, 7], (3.0, 7.0, 9.0)),
+    # 6 points: positions 1.25, 2.5 and 3.75 of the sorted list
+    ([0.8, 0.2, 1.0, 0.5, 0.4, 0.7], (0.425, 0.6, 0.775)),
+])
+def test_inclusive_linear_quartiles(values, quartiles):
+    rep = robustness_stats(values)
+    assert (rep.q1, rep.median, rep.q3) == pytest.approx(quartiles)
+    assert rep.iqr == pytest.approx(quartiles[2] - quartiles[0])
+    assert (rep.minimum, rep.maximum) == (min(values), max(values))
+
+
 def test_published_benchmark_mean():
     values = [1.0, 0.964, 0.951, 0.998, 0.906, 0.848, 0.996, 0.764,
               0.954, 0.988]
@@ -180,3 +196,11 @@ def test_published_benchmark_mean():
 def test_empty_values_rejected():
     with pytest.raises(ValueError):
         robustness_stats([])
+
+
+def test_import_does_not_load_numpy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    subprocess.run(
+        [sys.executable, "-c",
+         "import ustep, sys; assert 'numpy' not in sys.modules"],
+        env={**os.environ, "PYTHONPATH": str(src)}, check=True)

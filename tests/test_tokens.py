@@ -6,6 +6,7 @@ from ustep.tokens import (
     ConfigError,
     compile_rules,
     preprocess,
+    read_mask_rules,
     render,
     tokenize,
 )
@@ -43,6 +44,20 @@ def test_mid_token_mask_keeps_surrounding_characters():
 def test_bad_rule_fails_at_compile_time():
     with pytest.raises(ConfigError):
         compile_rules([r"[unclosed"])
+
+
+def test_read_mask_rules_skips_blanks_and_comments(tmp_path):
+    path = tmp_path / "masks.txt"
+    path.write_text("# header\n"
+                    "blk_-?[0-9]+\n"
+                    "\n"
+                    "   \n"
+                    "    # indented comment\n"
+                    "  (\\d+\\.){3}\\d+  \n"
+                    "a#b\n"
+                    "[0-9]+\n")
+    assert read_mask_rules(path) == [r"blk_-?[0-9]+", r"(\d+\.){3}\d+",
+                                     "a#b", "[0-9]+"]
 
 
 def test_tokenize_whitespace_split():
