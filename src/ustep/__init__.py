@@ -15,7 +15,6 @@ from .tokens import (
     WILDCARD,
     WILDCARD_TEXT,
     ConfigError,
-    TokenizedMessage,
     preprocess,
     render,
     tokenize,
@@ -36,8 +35,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Miner", "MinerConfig", "MinerStats", "ParseResult", "SnapshotError",
     "Template", "select_pivot", "sim_f", "update_template",
-    "WILDCARD", "WILDCARD_TEXT", "ConfigError", "TokenizedMessage",
-    "preprocess", "render", "tokenize",
+    "WILDCARD", "WILDCARD_TEXT", "ConfigError", "preprocess", "render",
+    "tokenize",
     "GroupingReport", "LabeledRecord", "RobustnessReport",
     "ThroughputReport", "grouping_accuracy", "load_labeled_dataset",
     "robustness_stats", "run_miner",

@@ -13,6 +13,7 @@ from dataclasses import asdict, dataclass, field
 
 from .tokens import (
     WILDCARD,
+    WILDCARD_TEXT,
     ConfigError,
     compile_rules,
     preprocess,
@@ -25,7 +26,7 @@ INTERNAL = "internal"
 LEAF = "leaf"
 
 SNAPSHOT_MAGIC = "ustep-snapshot"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 
 class SnapshotError(ValueError):
@@ -70,13 +71,12 @@ class Template:
 
 
 class TreeNode:
-    __slots__ = ("kind", "parent", "depth", "pivot", "children", "templates",
+    __slots__ = ("kind", "depth", "pivot", "children", "templates",
                  "splittable")
 
-    def __init__(self, kind, parent=None):
+    def __init__(self, kind, depth=0):
         self.kind = kind
-        self.parent = parent
-        self.depth = 0 if parent is None else parent.depth + 1
+        self.depth = depth
         self.pivot = None        # internal nodes only, 0-based position
         self.children = {} if kind in (ROOT, INTERNAL) else None
         self.templates = [] if kind == LEAF else None
@@ -172,17 +172,17 @@ class Miner:
 
     # -- descent ---------------------------------------------------------
 
-    def _descend(self, msg):
+    def _descend(self, tokens):
         """Route a message to its leaf, creating one when no label matches."""
         steps = 0
         node = self.root
-        key = msg.length
+        key = len(tokens)
         while True:
             child = node.children.get(key)
             if child is None and node.kind == INTERNAL:
                 child = node.children.get(WILDCARD)
             if child is None:
-                child = TreeNode(LEAF, parent=node)
+                child = TreeNode(LEAF, node.depth + 1)
                 node.children[key] = child
                 self.stats.node_count += 1
                 if child.depth > self.stats.max_depth:
@@ -191,32 +191,32 @@ class Miner:
             if child.kind == LEAF:
                 return child, steps
             node = child
-            key = msg.tokens[node.pivot]
+            key = tokens[node.pivot]
 
     # -- template assignment --------------------------------------------
 
-    def _assign(self, leaf, msg):
+    def _assign(self, leaf, tokens):
         """Pick or create the template for a message already at its leaf."""
         strict = self.config.strict_wildcard_sim
         sigma = self.config.sigma
         best = None
         best_sim = -1.0
         evals = 0
-        if msg.length == 0:
+        if not tokens:
             # single empty template per degenerate leaf
             if leaf.templates:
                 best, best_sim = leaf.templates[0], 1.0
         else:
             for tpl in leaf.templates:
                 evals += 1
-                s = sim_f(msg.tokens, tpl.tokens, strict)
+                s = sim_f(tokens, tpl.tokens, strict)
                 if s > best_sim or (s == best_sim and best is not None
                                     and tpl.id < best.id):
                     best, best_sim = tpl, s
-        if best is not None and (msg.length == 0 or best_sim > sigma):
-            update_template(best, msg.tokens)
+        if best is not None and (not tokens or best_sim > sigma):
+            update_template(best, tokens)
             return best, False, evals
-        tpl = Template(self._next_template_id, list(msg.tokens))
+        tpl = Template(self._next_template_id, list(tokens))
         self._next_template_id += 1
         leaf.templates.append(tpl)
         self.stats.template_count += 1
@@ -224,18 +224,19 @@ class Miner:
 
     # -- leaf splitting --------------------------------------------------
 
-    def _split(self, leaf):
+    def _split(self, leaf, tokens):
         """Turn a saturated leaf into an internal node keyed on a pivot.
 
-        Returns the token comparisons spent scanning for the pivot.  If
-        every usable position is uniform the leaf is marked
-        non-splittable and left intact.
+        The pivots above it come from walking `tokens` again: nodes keep no
+        parent link, so no tree holds a reference cycle.  Returns the token
+        comparisons of the pivot scan; a leaf with no usable pivot is kept.
         """
         excluded = set()
-        node = leaf.parent
-        while node is not None and node.kind == INTERNAL:
+        node = self.root.children[len(tokens)]
+        while node is not leaf:
             excluded.add(node.pivot)
-            node = node.parent
+            child = node.children.get(tokens[node.pivot])
+            node = node.children[WILDCARD] if child is None else child
         scans = len(leaf.templates) * len(leaf.templates[0].tokens)
         pivot = select_pivot(leaf.templates, excluded)
         if pivot is None:
@@ -250,7 +251,7 @@ class Miner:
         leaf.templates = None
         leaf.splittable = True
         for label, tpls in groups.items():
-            child = TreeNode(LEAF, parent=leaf)
+            child = TreeNode(LEAF, leaf.depth + 1)
             child.templates = tpls
             leaf.children[label] = child
         self.stats.node_count += len(groups)
@@ -264,17 +265,16 @@ class Miner:
 
     def process_message(self, raw):
         """Structure one raw line; any line is parseable."""
-        masked = preprocess(raw, self._rules)
-        msg = tokenize(masked)
-        leaf, steps = self._descend(msg)
-        tpl, created, evals = self._assign(leaf, msg)
+        tokens = tokenize(preprocess(raw, self._rules))
+        leaf, steps = self._descend(tokens)
+        tpl, created, evals = self._assign(leaf, tokens)
         scans = 0
         if created and len(leaf.templates) > self.config.phi:
-            scans = self._split(leaf)
+            scans = self._split(leaf, tokens)
         self.last_cost = MessageCost(steps, evals, scans)
         self.stats.messages_processed += 1
         variables = [WILDCARD if mt is WILDCARD else mt
-                     for mt, tt in zip(msg.tokens, tpl.tokens)
+                     for mt, tt in zip(tokens, tpl.tokens)
                      if tt is WILDCARD]
         return ParseResult(
             template_id=tpl.id,
@@ -301,19 +301,32 @@ class Miner:
     # -- snapshot / restore ----------------------------------------------
 
     def snapshot(self):
-        """Serialize the full miner state to bytes (versioned JSON)."""
+        """Serialize the full miner state to bytes (versioned JSON).
+
+        `nodes` lists the tree depth first as [parent index, label, pivot,
+        splittable], the wildcard label as its marker, and `templates` holds
+        [leaf index, id, rendered text, match_count].  Of the counters, only
+        messages_processed is stored; the others follow from the tree."""
+        nodes, templates = [], []
+        stack = [(self.root, -1, None)]
+        while stack:
+            node, up, label = stack.pop()
+            index = len(nodes)
+            nodes.append([up, WILDCARD_TEXT if label is WILDCARD else label,
+                          node.pivot, node.splittable])
+            if node.kind == LEAF:
+                templates += ([index, t.id, t.render(), t.match_count]
+                              for t in node.templates)
+            else:
+                stack += ((child, index, key) for key, child
+                          in reversed(node.children.items()))
         payload = {
             "magic": SNAPSHOT_MAGIC,
             "version": SNAPSHOT_VERSION,
-            "config": {
-                "sigma": self.config.sigma,
-                "phi": self.config.phi,
-                "mask_rules": list(self.config.mask_rules),
-                "strict_wildcard_sim": self.config.strict_wildcard_sim,
-            },
-            "next_template_id": self._next_template_id,
-            "stats": asdict(self.stats),
-            "tree": _encode_node(self.root),
+            "config": asdict(self.config),
+            "messages_processed": self.stats.messages_processed,
+            "nodes": nodes,
+            "templates": templates,
         }
         return json.dumps(payload, separators=(",", ":")).encode("utf-8")
 
@@ -331,73 +344,75 @@ class Miner:
             raise SnapshotError(
                 f"unsupported snapshot version {payload.get('version')!r}")
         try:
-            cfg = MinerConfig(**payload["config"])
-            miner = cls(cfg)
-            miner._next_template_id = payload["next_template_id"]
-            miner.stats = MinerStats(**payload["stats"])
-            miner.root = _decode_node(payload["tree"], None)
-        except (KeyError, TypeError, IndexError, RecursionError) as exc:
+            miner = cls(MinerConfig(**payload["config"]))
+            miner._load(payload["nodes"], payload["templates"],
+                        payload["messages_processed"])
+        except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise SnapshotError(f"malformed snapshot: {exc}") from exc
         return miner
 
-
-def _encode_token(tok):
-    return None if tok is WILDCARD else tok
-
-
-def _decode_token(tok):
-    return WILDCARD if tok is None else tok
-
-
-def _encode_node(node):
-    enc = {"kind": node.kind, "splittable": node.splittable}
-    if node.kind == LEAF:
-        enc["templates"] = [
-            {"id": t.id, "tokens": [_encode_token(x) for x in t.tokens],
-             "match_count": t.match_count}
-            for t in node.templates
-        ]
-    else:
-        if node.kind == INTERNAL:
-            enc["pivot"] = node.pivot
-        enc["children"] = [
-            [_encode_token(label) if not isinstance(label, int) else label,
-             _encode_node(child)]
-            for label, child in node.children.items()
-        ]
-    return enc
-
-
-def _decode_node(enc, parent, length=None):
-    """Rebuild a subtree, rejecting any node that descent could trip on.
-
-    `length` is the root label above the node: every template below it
-    has that many tokens and every pivot indexes into them.
-    """
-    kind = enc["kind"]
-    if kind not in ((ROOT,) if parent is None else (INTERNAL, LEAF)):
-        raise SnapshotError(f"malformed snapshot: bad node kind {kind!r}")
-    node = TreeNode(kind, parent=parent)
-    node.splittable = enc["splittable"]
-    if kind == LEAF:
-        node.templates = [
-            Template(t["id"], [_decode_token(x) for x in t["tokens"]],
-                     t["match_count"])
-            for t in enc["templates"]
-        ]
-        for t in node.templates:
-            if len(t.tokens) != length:
-                raise SnapshotError(
-                    f"malformed snapshot: template length is not {length!r}")
-    else:
-        if kind == INTERNAL:
-            node.pivot = enc["pivot"]
-            if not (isinstance(node.pivot, int) and 0 <= node.pivot < length):
-                raise SnapshotError(f"malformed snapshot: pivot "
-                                    f"{node.pivot!r} outside length {length!r}")
-        for raw_label, child_enc in enc["children"]:
-            child_label = raw_label if isinstance(raw_label, int) \
-                else _decode_token(raw_label)
-            node.children[child_label] = _decode_node(
-                child_enc, node, child_label if kind == ROOT else length)
-    return node
+    def _load(self, nodes, templates, messages):
+        """Fill a fresh miner from snapshot lists, raising ValueError at the
+        first rule they break: every rule descent, assignment and splitting
+        rely on.  Pivots lie inside the length and differ along each path,
+        which bounds descent by length + 1 steps."""
+        if nodes[0] != [-1, None, None, True]:
+            raise ValueError("first node is not the root")
+        built, lengths, stats = [self.root], [None], self.stats
+        path, pivots = [0], set()   # the latest node's ancestry
+        for i in range(1, len(nodes)):
+            up, label, pivot, splittable = nodes[i]
+            while path and path[-1] != up:
+                pivots.discard(built[path.pop()].pivot)
+            if type(up) is not int or not path or built[up].kind == LEAF:
+                raise ValueError(f"node {i}: bad parent {up!r}")
+            parent = built[up]
+            if parent.kind == ROOT:
+                length = label
+                if type(label) is not int or label < 0:
+                    raise ValueError(f"node {i}: bad length {label!r}")
+            else:
+                length = lengths[up]
+                if type(label) is not str:
+                    raise ValueError(f"node {i}: bad label {label!r}")
+                label = WILDCARD if label == WILDCARD_TEXT else label
+            if label in parent.children:
+                raise ValueError(f"node {i}: duplicate label {label!r}")
+            if type(splittable) is not bool:
+                raise ValueError(f"node {i}: bad splittable {splittable!r}")
+            node = TreeNode(LEAF if pivot is None else INTERNAL, len(path))
+            if pivot is not None:
+                if type(pivot) is not int or not 0 <= pivot < length \
+                        or pivot in pivots:
+                    raise ValueError(f"node {i}: bad pivot {pivot!r}")
+                node.pivot = pivot
+                pivots.add(pivot)
+                stats.splits_performed += 1
+            node.splittable = splittable
+            parent.children[label] = node
+            built.append(node)
+            lengths.append(length)
+            path.append(i)
+            stats.max_depth = max(stats.max_depth, node.depth)
+        seen = set()
+        for at, tid, text, count in templates:
+            if type(at) is not int or not 0 <= at < len(built) \
+                    or built[at].kind != LEAF:
+                raise ValueError(f"template {tid!r}: node {at!r} is no leaf")
+            if type(tid) is not int or not 0 < tid <= len(templates) \
+                    or tid in seen:
+                raise ValueError(f"template id {tid!r} is not new in 1..N")
+            if type(count) is not int or count < 1:
+                raise ValueError(f"template {tid}: bad match_count {count!r}")
+            tokens = tokenize(text) if type(text) is str else None
+            if tokens is None or len(tokens) != lengths[at]:
+                raise ValueError(f"template {tid}: text is not "
+                                 f"{lengths[at]} tokens")
+            seen.add(tid)
+            stats.messages_processed += count
+            built[at].templates.append(Template(tid, tokens, count))
+        if type(messages) is not int or messages != stats.messages_processed:
+            raise ValueError("messages_processed is not the match total")
+        stats.node_count = len(built)
+        stats.template_count = len(seen)
+        self._next_template_id = len(seen) + 1

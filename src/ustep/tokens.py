@@ -1,7 +1,6 @@
 """Tokenization and regex-mask preprocessing for raw log lines."""
 
 import re
-from dataclasses import dataclass
 from typing import Union
 
 #: External rendering of a variable slot.
@@ -32,7 +31,7 @@ def compile_rules(patterns):
     for pat in patterns:
         try:
             compiled.append(re.compile(pat))
-        except re.error as exc:
+        except (re.error, OverflowError, RecursionError) as exc:
             raise ConfigError(f"invalid mask rule {pat!r}: {exc}") from exc
     return compiled
 
@@ -59,27 +58,14 @@ def preprocess(raw, rules):
     return raw
 
 
-@dataclass
-class TokenizedMessage:
-    """A log line split on whitespace, with masked tokens as wildcards."""
-
-    tokens: list
-
-    @property
-    def length(self):
-        return len(self.tokens)
-
-
 def tokenize(masked):
-    """Split a (possibly masked) line into tokens.
+    """Split a (possibly masked) line into its list of tokens.
 
     Maximal whitespace-free runs become tokens; a token exactly equal to
     the wildcard marker becomes the wildcard sentinel.  Empty or
-    whitespace-only input yields a zero-length message.
+    whitespace-only input yields an empty list.
     """
-    parts = masked.split()
-    tokens = [WILDCARD if p == WILDCARD_TEXT else p for p in parts]
-    return TokenizedMessage(tokens)
+    return [WILDCARD if p == WILDCARD_TEXT else p for p in masked.split()]
 
 
 def render(tokens):

@@ -1,4 +1,5 @@
-"""Synthetic corpus generators and brute-force scoring oracles for tests."""
+"""Synthetic corpus generators, crafted-input helpers and brute-force
+scoring oracles for tests."""
 
 import random
 
@@ -100,3 +101,15 @@ def partition_to_labels(partition, n):
         for i in block:
             labels[i] = gid
     return labels
+
+
+def replace_at(document, path, value):
+    """`document` (nested lists and dicts) with the item at `path` set to
+    `value`, in place; the empty path replaces the whole document."""
+    if not path:
+        return value
+    target = document
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return document

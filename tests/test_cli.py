@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from synth import replace_at
 from ustep.cli import EXIT_IO, EXIT_OK, EXIT_SNAPSHOT, EXIT_USAGE, main
 from ustep.miner import Miner, MinerConfig
 
@@ -247,40 +248,101 @@ def test_stats_corrupt_snapshot(tmp_path, capsys):
 
 
 def _split_tree_snapshot():
-    """Snapshot whose length-3 leaf has split on pivot 0 into two leaves."""
+    """Snapshot whose length-3 leaf has split on pivot 0 into two leaves.
+
+    Its nodes are root, the length-3 node and leaves "a" and "c"; its
+    templates are id 1 ("a b x") and id 2 ("c d y"), in that order.
+    """
     miner = Miner(MinerConfig(phi=1))
     miner.process_message("a b x")
     miner.process_message("c d y")
     return json.loads(miner.snapshot())
 
 
+def _with(*changes):
+    """Crafts the split-tree snapshot with each (path, value) set in it."""
+    def crafted():
+        payload = _split_tree_snapshot()
+        for path, value in changes:
+            replace_at(payload, path, value)
+        return json.dumps(payload).encode()
+    return crafted
+
+
 def _pivot_out_of_range():
-    payload = _split_tree_snapshot()
-    payload["tree"]["children"][0][1]["pivot"] = 7
-    return json.dumps(payload).encode()
+    return _with((("nodes", 1, 2), 7))()
 
 
 def _template_of_wrong_length():
-    payload = _split_tree_snapshot()
-    leaf = payload["tree"]["children"][0][1]["children"][0][1]
-    leaf["templates"][0]["tokens"].pop()
-    return json.dumps(payload).encode()
+    return _with((("templates", 0, 2), "a b"))()
 
 
 def _tree_100k_levels_deep():
-    good = Miner().snapshot().decode()
-    head, _ = good.split('"tree":')
+    payload = _split_tree_snapshot()
     depth = 100_000
-    tree = ('{"kind":"root","splittable":true,"children":[[1,'
-            + '{"kind":"internal","splittable":true,"pivot":0,'
-              '"children":[["a",' * depth
-            + '{"kind":"leaf","splittable":true,"templates":[]}'
-            + "]]}" * depth + "]]}")
-    return (head + '"tree":' + tree + "}").encode()
+    payload["nodes"] = ([[-1, None, None, True], [0, 1, 0, True]]
+                        + [[i, "a", 0, True] for i in range(1, depth)]
+                        + [[depth, "a", None, True]])
+    payload["templates"] = []
+    payload["messages_processed"] = 0
+    return json.dumps(payload).encode()
+
+
+_V1_SNAPSHOT = (
+    b'{"magic":"ustep-snapshot","version":1,"config":{"sigma":0.5,"phi":1,'
+    b'"mask_rules":[],"strict_wildcard_sim":false},"next_template_id":3,'
+    b'"stats":{"node_count":4,"template_count":2,"messages_processed":2,'
+    b'"splits_performed":1,"max_depth":2},"tree":{"kind":"root",'
+    b'"splittable":true,"children":[[3,{"kind":"internal","splittable":true,'
+    b'"pivot":0,"children":[["a",{"kind":"leaf","splittable":true,'
+    b'"templates":[{"id":1,"tokens":["a","b","x"],"match_count":1}]}],'
+    b'["c",{"kind":"leaf","splittable":true,"templates":[{"id":2,'
+    b'"tokens":["c","d","y"],"match_count":1}]}]]}]]}}')
 
 
 @pytest.mark.parametrize("crafted", [
-    _pivot_out_of_range, _template_of_wrong_length, _tree_100k_levels_deep])
+    _pivot_out_of_range, _template_of_wrong_length, _tree_100k_levels_deep,
+    pytest.param(lambda: _V1_SNAPSHOT, id="v1_snapshot"),
+    pytest.param(_with((("nodes", 0), [0, None, None, True])),
+                 id="root_not_first"),
+    pytest.param(_with((("nodes", 2, 0), 3)), id="parent_not_earlier"),
+    pytest.param(_with((("nodes", 3, 0), 2)), id="parent_is_leaf"),
+    pytest.param(_with((("nodes",), [
+        [-1, None, None, True], [0, 3, 0, True], [1, "a", None, True],
+        [0, 2, None, True], [1, "c", None, True]]),
+        (("templates", 1, 0), 4)), id="parent_off_the_path"),
+    pytest.param(_with((("nodes", 2, 0), True)), id="bool_parent"),
+    pytest.param(_with((("nodes", 1, 1), -1)), id="negative_length"),
+    pytest.param(_with((("nodes", 1, 1), "3")), id="string_length"),
+    pytest.param(_with((("nodes", 2, 1), 5)), id="int_label"),
+    pytest.param(_with((("nodes", 3, 1), "a")), id="duplicate_label"),
+    pytest.param(_with((("nodes", 1, 2), -1)), id="negative_pivot"),
+    pytest.param(_with((("nodes", 1, 2), 0.5)), id="float_pivot"),
+    pytest.param(_with((("nodes", 2, 2), 0)), id="pivot_repeated_on_path"),
+    pytest.param(_with((("nodes", 2, 3), 1)), id="int_splittable"),
+    pytest.param(_with((("nodes", 2), [1, "a", None])), id="short_node"),
+    pytest.param(_with((("templates", 0, 0), 1)), id="template_on_inner"),
+    pytest.param(_with((("templates", 0, 1), "x")), id="string_id"),
+    pytest.param(_with((("templates", 0, 1), 3)), id="id_above_count"),
+    pytest.param(_with((("templates", 0, 1), 0)), id="id_zero"),
+    pytest.param(_with((("templates", 0, 1), 2)), id="repeated_id"),
+    pytest.param(_with((("templates", 0, 3), 0)), id="zero_match_count"),
+    pytest.param(_with((("templates", 0, 2), 5)), id="int_template_text"),
+    pytest.param(_with((("templates", 0, 2), ["a", "b", "x"])),
+                 id="token_list_text"),
+    pytest.param(_with((("messages_processed",), "2")),
+                 id="string_messages_processed"),
+    pytest.param(_with((("messages_processed",), 3)),
+                 id="messages_processed_not_match_total"),
+    pytest.param(_with((("config", "sigma"), 5)), id="sigma_above_one"),
+    pytest.param(_with((("config", "phi"), 0)), id="phi_zero"),
+    pytest.param(_with((("config", "mask_rules"), ["("])),
+                 id="bad_mask_rule"),
+    pytest.param(_with((("config", "mask_rules"), ["a{4294967296}"])),
+                 id="overflowing_mask_rule"),
+    pytest.param(_with((("config", "sigma"), "x")), id="string_sigma"),
+    pytest.param(_with((("config", "colour"), "red")), id="unknown_config"),
+])
 def test_stats_rejects_crafted_tree(crafted, tmp_path, capsys):
     snap = tmp_path / "crafted.bin"
     snap.write_bytes(crafted())
@@ -288,6 +350,31 @@ def test_stats_rejects_crafted_tree(crafted, tmp_path, capsys):
     assert code == EXIT_SNAPSHOT
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_deep_tree_snapshot_round_trip(tmp_path, capsys):
+    n = 1200
+    lines = [" ".join("b" if j == i else "a" for j in range(n))
+             for i in range(n)]
+    raw = tmp_path / "chain.log"
+    raw.write_text("\n".join(lines) + "\n")
+    snap = tmp_path / "chain.bin"
+    code, _, _ = run_cli(capsys, "parse", "--input", str(raw), "--sigma",
+                         "0.9999", "--phi", "1", "--snapshot-out", str(snap))
+    assert code == EXIT_OK
+    original = Miner(MinerConfig(sigma=0.9999, phi=1))
+    for line in lines:
+        original.process_message(line)
+    assert original.stats.max_depth == n
+    assert snap.read_bytes() == original.snapshot()
+    restored = Miner.restore(snap.read_bytes())
+    assert restored.stats == original.stats
+    assert restored.templates() == original.templates()
+    for line in lines[::100] + [line.replace("b", "c") for line in lines[:3]]:
+        assert restored.process_message(line) == original.process_message(line)
+    code, out, _ = run_cli(capsys, "stats", "--snapshot-in", str(snap))
+    assert code == EXIT_OK
+    assert json.loads(out)["stats"]["max_depth"] == n
 
 
 def test_invalid_sigma_rejected(raw_file, capsys):

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from ustep.miner import (
@@ -293,6 +295,19 @@ def test_snapshot_preserves_behavior_mid_stream():
     assert a.templates() == b.templates()
 
 
+def test_dropped_miner_leaves_no_cyclic_garbage():
+    # nodes keep no parent link, so dropping a miner frees its tree at
+    # once instead of leaving it to a later, unrelated collection
+    gc.collect()
+    a = Miner(MinerConfig(sigma=0.5, phi=2))
+    for i in range(200):
+        a.process_message(f"a{i % 4} b{i % 3} c{i % 5} d")
+    b = Miner.restore(a.snapshot())
+    assert a.stats.max_depth == 3
+    del a, b
+    assert gc.collect() == 0
+
+
 def test_truncated_snapshot_rejected():
     m = Miner()
     data = m.snapshot()
@@ -304,7 +319,8 @@ def test_wrong_magic_and_version_rejected():
     with pytest.raises(SnapshotError):
         Miner.restore(b'{"magic":"something-else","version":1}')
     good = Miner().snapshot().decode()
-    bad = good.replace('"version":1', '"version":99')
+    bad = good.replace('"version":2', '"version":99')
+    assert bad != good
     with pytest.raises(SnapshotError):
         Miner.restore(bad.encode())
 

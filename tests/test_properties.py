@@ -1,10 +1,12 @@
+import json
 import random
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from synth import make_mixed_corpus
-from ustep.miner import Miner, MinerConfig, Template, sim_f, update_template
+from synth import make_mixed_corpus, replace_at
+from ustep.miner import (Miner, MinerConfig, SnapshotError, Template, sim_f,
+                         update_template)
 from ustep.tokens import WILDCARD, render, tokenize
 
 token = st.one_of(st.just(WILDCARD),
@@ -51,7 +53,7 @@ def test_update_monotone(msg_tokens, data):
 @given(st.lists(literal_token, min_size=0, max_size=10))
 def test_tokenize_render_round_trip(tokens):
     line = " ".join(tokens)
-    assert tokenize(line).tokens == tokens
+    assert tokenize(line) == tokens
     assert render(tokens) == line
 
 
@@ -59,8 +61,8 @@ def test_tokenize_render_round_trip(tokens):
 def test_tokenize_matches_split(text):
     got = tokenize(text)
     parts = text.split()
-    assert got.length == len(parts)
-    assert [render([t]) for t in got.tokens] == parts
+    assert len(got) == len(parts)
+    assert [render([t]) for t in got] == parts
 
 
 @settings(max_examples=25, deadline=None)
@@ -86,3 +88,64 @@ def test_snapshot_replay_equivalence(seed):
     b = Miner.restore(a.snapshot())
     for line in lines[80:]:
         assert a.process_message(line) == b.process_message(line)
+
+
+def _snapshot_under_test():
+    """A snapshot with split nodes, a wildcard label and an empty-line
+    template, every path to a JSON value in it, and its lines."""
+    lines = make_mixed_corpus(random.Random(7), 10, max_length=6) + [
+        "1 q p a a a a", "2 q p a a a a", "3 s r b b b b", "4 u t c c c c",
+        "", "x"]
+    miner = Miner(MinerConfig(sigma=0.5, phi=1))
+    for line in lines:
+        miner.process_message(line)
+    blob = miner.snapshot()
+    paths = []
+    stack = [((), json.loads(blob))]
+    while stack:
+        path, value = stack.pop()
+        paths.append(path)
+        if isinstance(value, (list, dict)):
+            keys = value if isinstance(value, dict) else range(len(value))
+            stack.extend((path + (k,), value[k]) for k in keys)
+    return blob, paths, lines
+
+
+SNAPSHOT, SNAPSHOT_PATHS, SNAPSHOT_LINES = _snapshot_under_test()
+json_scalar = (st.none() | st.booleans() | st.integers(-2, 8) | st.integers()
+               | st.floats() | st.text(alphabet="ab <*>", max_size=6))
+# scalars first: hypothesis draws the containers of st.recursive far more
+# often, and most rules are about scalar slots
+json_value = json_scalar | st.recursive(
+    json_scalar,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=6)
+
+
+def _restores_or_raises_snapshot_error(blob):
+    """Restore either refuses `blob` or gives a miner that works and keeps
+    the descent bound of length + 1 steps."""
+    try:
+        miner = Miner.restore(blob)
+    except SnapshotError:
+        return
+    miner.templates()
+    for line in SNAPSHOT_LINES:
+        length = len(miner.process_message(line).template_text.split())
+        assert miner.last_cost.descent_steps <= length + 1
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(SNAPSHOT_PATHS), json_value)
+def test_snapshot_with_a_value_replaced_restores_or_is_refused(path, value):
+    payload = replace_at(json.loads(SNAPSHOT), path, value)
+    _restores_or_raises_snapshot_error(json.dumps(payload).encode())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, len(SNAPSHOT) - 1), st.integers(1, 255))
+def test_snapshot_with_a_byte_flipped_restores_or_is_refused(at, mask):
+    flipped = bytearray(SNAPSHOT)
+    flipped[at] ^= mask
+    _restores_or_raises_snapshot_error(bytes(flipped))
