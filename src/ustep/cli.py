@@ -119,9 +119,7 @@ def cmd_sweep(args):
         return EXIT_USAGE
     rules = read_mask_rules(args.masks) if args.masks else []
     best, results = sweep(records, grid, mask_rules=rules,
-                          strict=args.strict_sim,
-                          chunk_size=args.chunk_size,
-                          dataset_name=args.input)
+                          strict=args.strict_sim, dataset_name=args.input)
     if args.format == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(["sigma", "phi", "parsing_accuracy"])
@@ -185,7 +183,6 @@ def build_parser():
                    help="grid file of sigma,phi pairs")
     p.add_argument("--masks", help="mask-rules file, one regex per line")
     p.add_argument("--strict-sim", dest="strict_sim", action="store_true")
-    p.add_argument("--chunk-size", type=int, default=1000)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=cmd_sweep)
 

@@ -7,7 +7,9 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass, field
 
+from . import miner as miner_module
 from .miner import Miner, MinerConfig
+from .tokens import compile_rules
 
 
 class DatasetFormatError(ValueError):
@@ -141,7 +143,7 @@ def run_miner(config, lines, chunk_size=1000, dataset_name=""):
         start = time.perf_counter()
         n = 0
         for line in it:
-            predicted.append(miner.process_message(line).template_id)
+            predicted.append(miner.template_id(line))
             n += 1
             if n == chunk_size:
                 break
@@ -205,24 +207,31 @@ def robustness_stats(values):
     )
 
 
-def sweep(records, grid, mask_rules=(), strict=False, chunk_size=1000,
-          dataset_name=""):
+def sweep(records, grid, mask_rules=(), strict=False, dataset_name=""):
     """Score every (sigma, phi) pair over a labeled corpus.
 
     Returns (best result, all results) where each result is a dict with
     sigma, phi and parsing_accuracy.  Ties go to the earliest grid entry.
+    Each line is masked and tokenized once, for the whole grid.
     """
     if not grid:
         raise ValueError("empty hyperparameter grid")
-    lines = [r.content for r in records]
+    configs = [MinerConfig(sigma=sigma, phi=phi, mask_rules=list(mask_rules),
+                           strict_wildcard_sim=strict)
+               for sigma, phi in grid]
+    # called through ustep.miner, as Miner.process_message calls them, so
+    # that whatever wraps those functions also sees these calls
+    rules = compile_rules(mask_rules)
+    messages = [miner_module.tokenize(miner_module.preprocess(r.content,
+                                                              rules))
+                for r in records]
     results = []
     best = None
-    for sigma, phi in grid:
-        cfg = MinerConfig(sigma=sigma, phi=phi, mask_rules=list(mask_rules),
-                          strict_wildcard_sim=strict)
-        predicted, _, _ = run_miner(cfg, lines, chunk_size, dataset_name)
+    for cfg in configs:
+        match = Miner(cfg)._match
+        predicted = [match(tokens)[0].id for tokens in messages]
         report = grouping_accuracy(records, predicted, dataset_name)
-        res = {"sigma": sigma, "phi": phi,
+        res = {"sigma": cfg.sigma, "phi": cfg.phi,
                "parsing_accuracy": report.parsing_accuracy}
         results.append(res)
         if best is None or res["parsing_accuracy"] > best["parsing_accuracy"]:

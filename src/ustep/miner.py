@@ -50,6 +50,18 @@ class MinerConfig:
     strict_wildcard_sim: bool = False
 
     def __post_init__(self):
+        if isinstance(self.sigma, bool) \
+                or not isinstance(self.sigma, (int, float)):
+            raise ConfigError(f"sigma must be a number, got {self.sigma!r}")
+        if isinstance(self.phi, bool) or not isinstance(self.phi, int):
+            raise ConfigError(f"phi must be an int, got {self.phi!r}")
+        if not isinstance(self.mask_rules, (list, tuple)) \
+                or not all(isinstance(r, str) for r in self.mask_rules):
+            raise ConfigError("mask_rules must be a list of regex strings, "
+                              f"got {self.mask_rules!r}")
+        if type(self.strict_wildcard_sim) is not bool:
+            raise ConfigError("strict_wildcard_sim must be a bool, got "
+                              f"{self.strict_wildcard_sim!r}")
         if not 0.0 <= self.sigma <= 1.0:
             raise ConfigError(f"sigma must be in [0, 1], got {self.sigma}")
         if self.phi < 1:
@@ -58,16 +70,21 @@ class MinerConfig:
         compile_rules(self.mask_rules)
 
 
-@dataclass
+@dataclass(slots=True)
 class Template:
     """A token skeleton with wildcard slots; ids are stable and unique."""
 
     id: int
     tokens: list
     match_count: int = 1
+    _text: str = field(default=None, init=False, repr=False, compare=False)
 
     def render(self):
-        return render(self.tokens)
+        """The template's text, cached until `update_template` turns one
+        of its positions into a wildcard."""
+        if self._text is None:
+            self._text = render(self.tokens)
+        return self._text
 
 
 class TreeNode:
@@ -104,7 +121,11 @@ class ParseResult:
 
 @dataclass
 class MessageCost:
-    """Instrumented per-message work, for complexity-bound checks."""
+    """Work done for the latest message, for complexity-bound checks.
+
+    A miner keeps one instance as `last_cost` and overwrites its fields on
+    every message; copy them to keep them past the next call.
+    """
 
     descent_steps: int = 0
     simf_evals: int = 0
@@ -131,8 +152,10 @@ def update_template(tpl, msg_tokens):
     """Wildcard every position where the message disagrees with the template."""
     tokens = tpl.tokens
     for j, mt in enumerate(msg_tokens):
-        if tokens[j] is not mt and tokens[j] != mt:
+        tt = tokens[j]
+        if tt is not mt and tt is not WILDCARD and tt != mt:
             tokens[j] = WILDCARD
+            tpl._text = None
     tpl.match_count += 1
     return tpl
 
@@ -170,10 +193,17 @@ class Miner:
         self.last_cost = MessageCost()
         self._next_template_id = 1
 
-    # -- descent ---------------------------------------------------------
+    # -- descent and assignment ----------------------------------------
 
-    def _descend(self, tokens):
-        """Route a message to its leaf, creating one when no label matches."""
+    def _match(self, tokens):
+        """Route a message to its leaf, then pick or create its template.
+
+        This is the whole of one message's work except building its
+        result: descent (creating a leaf when no label matches), scoring
+        the leaf's templates, the split of a leaf grown past phi, and the
+        cost and stats accounting.  Returns (template, created).
+        """
+        stats = self.stats
         steps = 0
         node = self.root
         key = len(tokens)
@@ -184,21 +214,15 @@ class Miner:
             if child is None:
                 child = TreeNode(LEAF, node.depth + 1)
                 node.children[key] = child
-                self.stats.node_count += 1
-                if child.depth > self.stats.max_depth:
-                    self.stats.max_depth = child.depth
+                stats.node_count += 1
+                if child.depth > stats.max_depth:
+                    stats.max_depth = child.depth
             steps += 1
             if child.kind == LEAF:
-                return child, steps
+                break
             node = child
             key = tokens[node.pivot]
-
-    # -- template assignment --------------------------------------------
-
-    def _assign(self, leaf, tokens):
-        """Pick or create the template for a message already at its leaf."""
-        strict = self.config.strict_wildcard_sim
-        sigma = self.config.sigma
+        leaf = child
         best = None
         best_sim = -1.0
         evals = 0
@@ -207,20 +231,31 @@ class Miner:
             if leaf.templates:
                 best, best_sim = leaf.templates[0], 1.0
         else:
+            strict = self.config.strict_wildcard_sim
             for tpl in leaf.templates:
                 evals += 1
                 s = sim_f(tokens, tpl.tokens, strict)
                 if s > best_sim or (s == best_sim and best is not None
                                     and tpl.id < best.id):
                     best, best_sim = tpl, s
-        if best is not None and (not tokens or best_sim > sigma):
+        scans = 0
+        if best is not None and (not tokens or best_sim > self.config.sigma):
             update_template(best, tokens)
-            return best, False, evals
-        tpl = Template(self._next_template_id, list(tokens))
-        self._next_template_id += 1
-        leaf.templates.append(tpl)
-        self.stats.template_count += 1
-        return tpl, True, evals
+            created = False
+        else:
+            best = Template(self._next_template_id, list(tokens))
+            self._next_template_id += 1
+            leaf.templates.append(best)
+            stats.template_count += 1
+            created = True
+            if len(leaf.templates) > self.config.phi:
+                scans = self._split(leaf, tokens)
+        cost = self.last_cost
+        cost.descent_steps = steps
+        cost.simf_evals = evals
+        cost.pivot_scans = scans
+        stats.messages_processed += 1
+        return best, created
 
     # -- leaf splitting --------------------------------------------------
 
@@ -266,22 +301,20 @@ class Miner:
     def process_message(self, raw):
         """Structure one raw line; any line is parseable."""
         tokens = tokenize(preprocess(raw, self._rules))
-        leaf, steps = self._descend(tokens)
-        tpl, created, evals = self._assign(leaf, tokens)
-        scans = 0
-        if created and len(leaf.templates) > self.config.phi:
-            scans = self._split(leaf, tokens)
-        self.last_cost = MessageCost(steps, evals, scans)
-        self.stats.messages_processed += 1
-        variables = [WILDCARD if mt is WILDCARD else mt
-                     for mt, tt in zip(tokens, tpl.tokens)
-                     if tt is WILDCARD]
+        tpl, created = self._match(tokens)
         return ParseResult(
             template_id=tpl.id,
             template_text=tpl.render(),
-            variables=[render([v]) for v in variables],
+            variables=[WILDCARD_TEXT if mt is WILDCARD else mt
+                       for mt, tt in zip(tokens, tpl.tokens)
+                       if tt is WILDCARD],
             created_new=created,
         )
+
+    def template_id(self, raw):
+        """Template id of one raw line: `process_message(raw).template_id`
+        with the same effect on the miner, minus building the result."""
+        return self._match(tokenize(preprocess(raw, self._rules)))[0].id
 
     def templates(self):
         """All discovered templates as (id, rendered text, match_count)."""

@@ -65,6 +65,8 @@ def tokenize(masked):
     the wildcard marker becomes the wildcard sentinel.  Empty or
     whitespace-only input yields an empty list.
     """
+    if WILDCARD_TEXT not in masked:
+        return masked.split()
     return [WILDCARD if p == WILDCARD_TEXT else p for p in masked.split()]
 
 

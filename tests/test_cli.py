@@ -341,6 +341,15 @@ _V1_SNAPSHOT = (
     pytest.param(_with((("config", "mask_rules"), ["a{4294967296}"])),
                  id="overflowing_mask_rule"),
     pytest.param(_with((("config", "sigma"), "x")), id="string_sigma"),
+    pytest.param(_with((("config", "sigma"), True)), id="bool_sigma"),
+    pytest.param(_with((("config", "phi"), 2.5)), id="float_phi"),
+    pytest.param(_with((("config", "phi"), True)), id="bool_phi"),
+    pytest.param(_with((("config", "mask_rules"), "ab")),
+                 id="string_mask_rules"),
+    pytest.param(_with((("config", "mask_rules"), {"": None})),
+                 id="dict_mask_rules"),
+    pytest.param(_with((("config", "strict_wildcard_sim"), "no")),
+                 id="string_strict_wildcard_sim"),
     pytest.param(_with((("config", "colour"), "red")), id="unknown_config"),
 ])
 def test_stats_rejects_crafted_tree(crafted, tmp_path, capsys):

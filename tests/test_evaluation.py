@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from synth import pa_oracle, partition_to_labels, set_partitions
+from synth import (make_mixed_corpus, make_template_corpus, pa_oracle,
+                   partition_to_labels, set_partitions)
 from ustep.evaluation import (
     DatasetFormatError,
     LabeledRecord,
@@ -14,8 +15,9 @@ from ustep.evaluation import (
     load_labeled_dataset,
     robustness_stats,
     run_miner,
+    sweep,
 )
-from ustep.miner import MinerConfig
+from ustep.miner import Miner, MinerConfig
 
 
 def _records(labels):
@@ -152,6 +154,38 @@ def test_empty_stream():
 def test_bad_chunk_size():
     with pytest.raises(ValueError):
         run_miner(MinerConfig(), ["x"], chunk_size=0)
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_run_miner_ids_are_process_message_ids(strict):
+    lines = make_mixed_corpus(random.Random(5), 600)
+    cfg = MinerConfig(sigma=0.5, phi=4, mask_rules=[r"x1\d"],
+                      strict_wildcard_sim=strict)
+    predicted, _, miner = run_miner(cfg, lines, chunk_size=50)
+    reference = Miner(cfg)
+    assert predicted == [reference.process_message(line).template_id
+                         for line in lines]
+    assert miner.snapshot() == reference.snapshot()
+
+
+def test_sweep_scores_like_process_message_per_grid_point():
+    rng = random.Random(3)
+    lines, labels = make_template_corpus(rng, 12, 8, 400)
+    records = [LabeledRecord(i + 1, line, str(g))
+               for i, (line, g) in enumerate(zip(lines, labels))]
+    grid = [(0.3, 2), (0.5, 8), (0.6, 4), (0.8, 1)]
+    rules = [r"v[1-3]\d"]
+    _, results = sweep(records, grid, mask_rules=rules, strict=True)
+    want = []
+    for sigma, phi in grid:
+        miner = Miner(MinerConfig(sigma=sigma, phi=phi, mask_rules=rules,
+                                  strict_wildcard_sim=True))
+        predicted = [miner.process_message(line).template_id
+                     for line in lines]
+        want.append({"sigma": sigma, "phi": phi, "parsing_accuracy":
+                     grouping_accuracy(records, predicted).parsing_accuracy})
+    assert results == want
+    assert len({r["parsing_accuracy"] for r in results}) > 1
 
 
 # -- robustness ------------------------------------------------------------

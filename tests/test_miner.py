@@ -31,6 +31,18 @@ def test_config_validation():
     MinerConfig(sigma=1.0, phi=1)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("sigma", True), ("sigma", "0.5"), ("sigma", None),
+    ("phi", True), ("phi", 2.5), ("phi", "8"),
+    ("mask_rules", "ab"), ("mask_rules", {"": None}), ("mask_rules", [1]),
+    ("mask_rules", None),
+    ("strict_wildcard_sim", "no"), ("strict_wildcard_sim", 1),
+])
+def test_config_rejects_wrong_types(field, value):
+    with pytest.raises(ConfigError):
+        MinerConfig(**{field: value})
+
+
 # -- similarity ------------------------------------------------------------
 
 def test_sim_identity():
@@ -78,6 +90,18 @@ def test_update_identity_is_noop_on_tokens():
     update_template(tpl, ["a", "b"])
     assert tpl.tokens == ["a", "b"]
     assert tpl.match_count == 2
+
+
+def test_render_is_cached_until_a_position_turns_wildcard():
+    tpl = Template(1, ["Send", "500", "bytes"])
+    text = tpl.render()
+    update_template(tpl, ["Send", "500", "bytes"])
+    assert tpl.render() is text
+    update_template(tpl, ["Send", "512", "bytes"])
+    widened = tpl.render()
+    assert widened == "Send <*> bytes"
+    update_template(tpl, ["Send", "9", "bytes"])
+    assert tpl.render() is widened
 
 
 # -- pivot selection -------------------------------------------------------
@@ -323,6 +347,29 @@ def test_wrong_magic_and_version_rejected():
     assert bad != good
     with pytest.raises(SnapshotError):
         Miner.restore(bad.encode())
+
+
+def test_template_id_is_process_message_without_the_result():
+    lines = [f"job {i % 7} state {i % 3} done" for i in range(60)] + [""]
+    a, b = Miner(MinerConfig(phi=2)), Miner(MinerConfig(phi=2))
+    for line in lines:
+        assert a.template_id(line) == b.process_message(line).template_id
+        assert a.last_cost == b.last_cost
+    assert a.snapshot() == b.snapshot()
+
+
+def test_last_cost_is_overwritten_by_each_message():
+    m = Miner(MinerConfig(phi=1))
+    cost = m.last_cost
+    # (steps, sim_f calls, pivot scans) of each message
+    for line, want in [("a b x", (1, 0, 0)),   # new leaf, first template
+                       ("c d y", (1, 1, 6)),   # second template splits it
+                       ("a b x", (2, 1, 0)),   # one level deeper now
+                       ("", (1, 0, 0))]:
+        m.process_message(line)
+        assert m.last_cost is cost
+        assert (cost.descent_steps, cost.simf_evals,
+                cost.pivot_scans) == want
 
 
 # -- stats -----------------------------------------------------------------

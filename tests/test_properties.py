@@ -78,6 +78,24 @@ def test_determinism(seed, phi, sigma):
     assert runs[0] == runs[1]
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from([1, 2, 4]), st.booleans())
+def test_cached_template_text_stays_coherent(seed, phi, strict):
+    lines = make_mixed_corpus(random.Random(seed), 120, max_length=8)
+    miner = Miner(MinerConfig(sigma=0.4, phi=phi, strict_wildcard_sim=strict))
+    held = []
+    for line in lines:
+        result = miner.process_message(line)
+        by_id = {t.id: t for leaf in miner.iter_leaves()
+                 for t in leaf.templates}
+        assert all(t.render() == render(t.tokens) for t in by_id.values())
+        text = render(by_id[result.template_id].tokens)
+        assert result.template_text == text
+        held.append((result, text))
+    # a result keeps the text of its call, however the template widens
+    assert all(result.template_text == text for result, text in held)
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 10_000))
 def test_snapshot_replay_equivalence(seed):
