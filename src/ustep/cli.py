@@ -6,6 +6,7 @@ import io
 import json
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict
 
 from .evaluation import (
@@ -41,10 +42,22 @@ def _read_grid(path):
     return grid
 
 
+@contextmanager
 def _open_input(path):
-    """Raw lines from a file or stdin; undecodable bytes become U+FFFD."""
-    binary = sys.stdin.buffer if path == "-" else open(path, "rb")
-    return io.TextIOWrapper(binary, encoding="utf-8", errors="replace")
+    """Raw lines from a file or stdin; undecodable bytes become U+FFFD.
+
+    Stdin's buffer is detached from the reader on exit, not closed with it,
+    so the process can still use its stdin."""
+    stdin = path == "-"
+    binary = sys.stdin.buffer if stdin else open(path, "rb")
+    reader = io.TextIOWrapper(binary, encoding="utf-8", errors="replace")
+    try:
+        yield reader
+    finally:
+        if stdin:
+            reader.detach()
+        else:
+            reader.close()
 
 
 def _build_config(args):
@@ -68,19 +81,21 @@ def _maybe_write_snapshot(miner, args):
 
 def cmd_parse(args):
     miner = _load_miner(args)
+    encode = json.JSONEncoder(separators=(",", ":")).encode
+    write = sys.stdout.write
     start = time.perf_counter()
     n = 0
     with _open_input(args.input) as fh:
         for line in fh:
             result = miner.process_message(line.rstrip("\r\n"))
             n += 1
-            print(json.dumps({
+            write(encode({
                 "line_no": n,
                 "template_id": result.template_id,
                 "template": result.template_text,
                 "variables": result.variables,
                 "created_new": result.created_new,
-            }, separators=(",", ":")))
+            }) + "\n")
     _maybe_write_snapshot(miner, args)
     elapsed = time.perf_counter() - start
     print(f"parsed {n} messages | {miner.stats.template_count} templates | "

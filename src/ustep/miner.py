@@ -37,7 +37,9 @@ class SnapshotError(ValueError):
 class MinerConfig:
     """Tunable parameters of a miner instance.
 
-    sigma: similarity a best-matching template must strictly exceed.
+    sigma: similarity a best-matching template must strictly exceed; a
+        perfect match (similarity 1.0) always merges, so sigma = 1.0 merges
+        exactly the lines that match a template at every position.
     phi: max templates per leaf before a split is attempted.
     mask_rules: regex patterns masking known variable spans before parsing.
     strict_wildcard_sim: if True, a template wildcard only matches a
@@ -124,7 +126,9 @@ class MessageCost:
     """Work done for the latest message, for complexity-bound checks.
 
     A miner keeps one instance as `last_cost` and overwrites its fields on
-    every message; copy them to keep them past the next call.
+    every message; copy them to keep them past the next call.  `simf_evals`
+    counts the templates scored, and scoring stops at the first perfect
+    score.
     """
 
     descent_steps: int = 0
@@ -136,8 +140,12 @@ def sim_f(msg_tokens, tpl_tokens, strict):
     """Fraction of positions where message and template tokens agree.
 
     With strict=False a template wildcard also counts as agreeing with
-    any message token.  Lengths must match and be >= 1.
+    any message token.  Equal lists score 1.0 at once, in either mode: they
+    agree at every position, wildcards included.  Lengths must match; two
+    empty lists are equal.
     """
+    if msg_tokens == tpl_tokens:
+        return 1.0
     n = len(msg_tokens)
     if n != len(tpl_tokens):
         raise ValueError("sim_f requires equal token lengths")
@@ -168,14 +176,12 @@ def select_pivot(templates, excluded=()):
     never chosen; if no position has diversity >= 2 the leaf cannot be
     split and None is returned.  Ties break toward the lowest position.
     """
-    length = len(templates[0].tokens)
     best_pos = None
     best_div = 1
-    for j in range(length):
+    for j, column in enumerate(zip(*[t.tokens for t in templates])):
         if j in excluded:
             continue
-        div = len({id(t.tokens[j]) if t.tokens[j] is WILDCARD else t.tokens[j]
-                   for t in templates})
+        div = len(set(column))
         if div > best_div:
             best_div = div
             best_pos = j
@@ -226,20 +232,22 @@ class Miner:
         best = None
         best_sim = -1.0
         evals = 0
-        if not tokens:
-            # single empty template per degenerate leaf
-            if leaf.templates:
-                best, best_sim = leaf.templates[0], 1.0
-        else:
-            strict = self.config.strict_wildcard_sim
-            for tpl in leaf.templates:
-                evals += 1
-                s = sim_f(tokens, tpl.tokens, strict)
-                if s > best_sim or (s == best_sim and best is not None
-                                    and tpl.id < best.id):
-                    best, best_sim = tpl, s
+        # a leaf's ids ascend, so the first maximum is the lowest id among
+        # ties, and nothing after a perfect score can beat it
+        strict = self.config.strict_wildcard_sim
+        for tpl in leaf.templates:
+            evals += 1
+            s = sim_f(tokens, tpl.tokens, strict)
+            if s > best_sim:
+                best, best_sim = tpl, s
+                if s == 1.0:
+                    break
         scans = 0
-        if best is not None and (not tokens or best_sim > self.config.sigma):
+        if best_sim == 1.0:
+            # no position disagrees, so updating would change no token
+            best.match_count += 1
+            created = False
+        elif best_sim > self.config.sigma:
             update_template(best, tokens)
             created = False
         else:
@@ -388,7 +396,8 @@ class Miner:
         """Fill a fresh miner from snapshot lists, raising ValueError at the
         first rule they break: every rule descent, assignment and splitting
         rely on.  Pivots lie inside the length and differ along each path,
-        which bounds descent by length + 1 steps."""
+        which bounds descent by length + 1 steps; a leaf's template ids
+        ascend, which the scoring in `_match` relies on."""
         if nodes[0] != [-1, None, None, True]:
             raise ValueError("first node is not the root")
         built, lengths, stats = [self.root], [None], self.stats
@@ -441,9 +450,13 @@ class Miner:
             if tokens is None or len(tokens) != lengths[at]:
                 raise ValueError(f"template {tid}: text is not "
                                  f"{lengths[at]} tokens")
+            held = built[at].templates
+            if held and held[-1].id > tid:
+                raise ValueError(f"template {tid}: ids of node {at} "
+                                 "do not ascend")
             seen.add(tid)
             stats.messages_processed += count
-            built[at].templates.append(Template(tid, tokens, count))
+            held.append(Template(tid, tokens, count))
         if type(messages) is not int or messages != stats.messages_processed:
             raise ValueError("messages_processed is not the match total")
         stats.node_count = len(built)

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -92,6 +93,16 @@ def test_parse_unreadable_input(capsys):
     code, _, err = run_cli(capsys, "parse", "--input", "/nonexistent/x.log")
     assert code == EXIT_IO
     assert "error" in err
+
+
+def test_parse_leaves_stdin_open(monkeypatch, capsys):
+    stdin = io.BytesIO(b"Send 500 bytes\nSend 512 bytes\n")
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(stdin))
+    first = run_cli(capsys, "parse")
+    stdin.seek(0)
+    second = run_cli(capsys, "parse")
+    assert first[0] == second[0] == EXIT_OK
+    assert first[1] == second[1] != ""
 
 
 def test_parse_stdin_decodes_like_input_file(tmp_path):
@@ -326,6 +337,9 @@ _V1_SNAPSHOT = (
     pytest.param(_with((("templates", 0, 1), 3)), id="id_above_count"),
     pytest.param(_with((("templates", 0, 1), 0)), id="id_zero"),
     pytest.param(_with((("templates", 0, 1), 2)), id="repeated_id"),
+    pytest.param(_with((("templates",), [[2, 2, "a b x", 1],
+                                         [2, 1, "a b y", 1]])),
+                 id="ids_descend_in_leaf"),
     pytest.param(_with((("templates", 0, 3), 0)), id="zero_match_count"),
     pytest.param(_with((("templates", 0, 2), 5)), id="int_template_text"),
     pytest.param(_with((("templates", 0, 2), ["a", "b", "x"])),

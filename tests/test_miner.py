@@ -65,6 +65,12 @@ def test_sim_wildcard_matches_wildcard_even_strict():
     assert sim_f([WILDCARD, "b"], [WILDCARD, "b"], strict=True) == 1.0
 
 
+@pytest.mark.parametrize("strict", [True, False])
+def test_sim_of_a_list_with_itself_is_one(strict):
+    tokens = ["a", WILDCARD, "b"]
+    assert sim_f(tokens, tokens, strict) == 1.0
+
+
 def test_sim_length_mismatch_is_caller_bug():
     with pytest.raises(ValueError):
         sim_f(["a"], ["a", "b"], strict=True)
@@ -279,15 +285,28 @@ def test_singleton_children_when_all_distinct():
 
 
 def test_unsplittable_leaf_may_exceed_phi():
-    # sigma = 1 means nothing matches (strict inequality), so duplicate
-    # templates pile up with zero positional diversity: no split possible
-    m = Miner(MinerConfig(sigma=1.0, phi=1))
-    for _ in range(3):
-        m.process_message("a b")
-    leaf = m.root.children[2]
+    # "b <*> b" and "b b b" differ only at position 1, which a pivot above
+    # their leaf already keys on: no position is left to split them
+    m = Miner(MinerConfig(sigma=0.9, phi=1, strict_wildcard_sim=True))
+    for line in ["a <*> b", "b a a", "b <*> b", "a a <*>", "a <*> a",
+                 "a b a", "b a a", "a b <*>", "a <*> b", "<*> a <*>",
+                 "b b b"]:
+        m.process_message(line)
+    leaf = next(leaf for leaf in m.iter_leaves()
+                if any(t.render() == "b b b" for t in leaf.templates))
     assert leaf.kind == LEAF
     assert not leaf.splittable
-    assert len(leaf.templates) == 3
+    assert [t.render() for t in leaf.templates] == ["b <*> b", "b b b"]
+    assert len(leaf.templates) > m.config.phi
+
+
+def test_sigma_one_merges_perfect_matches():
+    m = Miner(MinerConfig(sigma=1.0, phi=1))
+    results = [m.process_message("a b") for _ in range(3000)]
+    assert [r.created_new for r in results[:2]] == [True, False]
+    assert m.templates() == [(1, "a b", 3000)]
+    # anything short of a perfect match still spawns a template
+    assert m.process_message("a c").created_new
 
 
 def test_routed_message_after_split():

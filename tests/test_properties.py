@@ -5,9 +5,9 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from synth import make_mixed_corpus, replace_at
-from ustep.miner import (Miner, MinerConfig, SnapshotError, Template, sim_f,
-                         update_template)
-from ustep.tokens import WILDCARD, render, tokenize
+from ustep.miner import (LEAF, Miner, MinerConfig, SnapshotError, Template,
+                         sim_f, update_template)
+from ustep.tokens import WILDCARD, compile_rules, preprocess, render, tokenize
 
 token = st.one_of(st.just(WILDCARD),
                   st.text(alphabet="abcxyz0189_.", min_size=1, max_size=6))
@@ -22,9 +22,23 @@ def test_sim_in_unit_interval(tokens, strict):
     assert 0.0 <= sim_f(tokens, other, strict) <= 1.0
 
 
+def loop_sim(msg_tokens, tpl_tokens, strict):
+    """`sim_f` scored position by position, with no shortcut."""
+    return sum(mt is tt or mt == tt or (not strict and tt is WILDCARD)
+               for mt, tt in zip(msg_tokens, tpl_tokens)) / len(msg_tokens)
+
+
 @given(token_list, st.booleans())
 def test_sim_identical_is_one(tokens, strict):
     assert sim_f(tokens, list(tokens), strict) == 1.0
+    assert sim_f(tokens, tokens, strict) == 1.0
+
+
+@given(st.lists(st.tuples(token, token), min_size=1, max_size=12),
+       st.booleans())
+def test_sim_matches_loop_reference(pairs, strict):
+    msg, tpl = map(list, zip(*pairs))
+    assert sim_f(msg, tpl, strict) == loop_sim(msg, tpl, strict)
 
 
 @given(token_list)
@@ -167,3 +181,73 @@ def test_snapshot_with_a_byte_flipped_restores_or_is_refused(at, mask):
     flipped = bytearray(SNAPSHOT)
     flipped[at] ^= mask
     _restores_or_raises_snapshot_error(bytes(flipped))
+
+
+# lines of a few short lengths whose digits the mask rule turns into <*>;
+# a literal <*> in a line is a masked token too
+masked_line = st.lists(st.sampled_from(["a", "b", "c", "7", "42", "<*>"]),
+                       max_size=5).map(" ".join)
+MASKS = [r"\d+"]
+
+
+def _leaf_of(miner, tokens):
+    """The leaf `tokens` descends to, or None if descent would create it."""
+    node = miner.root.children.get(len(tokens))
+    while node is not None and node.kind != LEAF:
+        child = node.children.get(tokens[node.pivot])
+        node = node.children.get(WILDCARD) if child is None else child
+    return node
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(masked_line, max_size=60), st.floats(0, 1),
+       st.integers(1, 4), st.booleans(), st.booleans())
+def test_scoring_picks_the_first_maximum_of_a_full_scan(
+        lines, sigma, phi, strict, masked):
+    rules = MASKS if masked else []
+    if not masked:
+        lines = [line.replace("<*>", "d") for line in lines]
+    miner = Miner(MinerConfig(sigma=sigma, phi=phi, mask_rules=rules,
+                              strict_wildcard_sim=strict))
+    compiled = compile_rules(rules)
+    for line in lines:
+        tokens = tokenize(preprocess(line, compiled))
+        leaf = _leaf_of(miner, tokens)
+        before = [(t, list(t.tokens)) for t in (leaf.templates if leaf else [])]
+        scores = [loop_sim(tokens, copy, strict) if tokens else 1.0
+                  for _, copy in before]
+        result = miner.process_message(line)
+        top = max(scores, default=None)
+        if top is not None and (top > sigma or top == 1.0):
+            tpl, copy = before[scores.index(top)]
+            assert (result.template_id, result.created_new) == (tpl.id, False)
+            if top == 1.0:
+                assert tpl.tokens == copy
+        else:
+            assert result.created_new
+        for held in miner.iter_leaves():
+            ids = [t.id for t in held.templates]
+            assert ids == sorted(ids)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(masked_line, max_size=80),
+       st.one_of(st.just(1.0), st.floats(0, 1)), st.integers(1, 4),
+       st.booleans())
+def test_work_per_message_is_bounded_for_any_config(lines, sigma, phi,
+                                                     strict):
+    miner = Miner(MinerConfig(sigma=sigma, phi=phi, mask_rules=MASKS,
+                              strict_wildcard_sim=strict))
+    compiled = compile_rules(MASKS)
+    # a leaf outgrows phi only while no split is possible; splitting it
+    # later can leave a child that still holds more than phi templates
+    largest = 0   # templates of the largest non-splittable leaf so far
+    for line in lines:
+        length = len(tokenize(preprocess(line, compiled)))
+        miner.process_message(line)
+        cost = miner.last_cost
+        assert cost.descent_steps <= length + 1
+        assert cost.simf_evals <= max(phi, largest)
+        largest = max([largest] + [len(leaf.templates) for leaf
+                                   in miner.iter_leaves()
+                                   if not leaf.splittable])
