@@ -5,7 +5,9 @@ nodes (keyed on a pivot token position) to a leaf holding candidate
 templates.  A message either refines the most similar template above the
 similarity threshold or spawns a new one; leaves holding more than `phi`
 templates are split into internal nodes on their most diverse token
-position.
+position.  A leaf whose split fails keeps its `phi + 1` templates and
+merges every later line into its best template, so no message scores more
+than `phi + 1` templates.
 """
 
 import json
@@ -21,12 +23,8 @@ from .tokens import (
     tokenize,
 )
 
-ROOT = "root"
-INTERNAL = "internal"
-LEAF = "leaf"
-
 SNAPSHOT_MAGIC = "ustep-snapshot"
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
 
 class SnapshotError(ValueError):
@@ -40,7 +38,9 @@ class MinerConfig:
     sigma: similarity a best-matching template must strictly exceed; a
         perfect match (similarity 1.0) always merges, so sigma = 1.0 merges
         exactly the lines that match a template at every position.
-    phi: max templates per leaf before a split is attempted.
+    phi: max templates per leaf before a split is attempted.  A leaf whose
+        split fails keeps phi + 1 templates and merges every later line
+        into its best template, whatever the similarity.
     mask_rules: regex patterns masking known variable spans before parsing.
     strict_wildcard_sim: if True, a template wildcard only matches a
         masked message token; if False (default) it matches any token.
@@ -90,16 +90,16 @@ class Template:
 
 
 class TreeNode:
-    __slots__ = ("kind", "depth", "pivot", "children", "templates",
-                 "splittable")
+    """A leaf holds `templates`; any other node routes through `children`,
+    which the root keys on token count and an internal node on the token
+    at its 0-based `pivot`."""
 
-    def __init__(self, kind, depth=0):
-        self.kind = kind
-        self.depth = depth
-        self.pivot = None        # internal nodes only, 0-based position
-        self.children = {} if kind in (ROOT, INTERNAL) else None
-        self.templates = [] if kind == LEAF else None
-        self.splittable = True
+    __slots__ = ("pivot", "children", "templates")
+
+    def __init__(self, templates=None):
+        self.pivot = None
+        self.children = {} if templates is None else None
+        self.templates = templates
 
 
 @dataclass
@@ -128,7 +128,8 @@ class MessageCost:
     A miner keeps one instance as `last_cost` and overwrites its fields on
     every message; copy them to keep them past the next call.  `simf_evals`
     counts the templates scored, and scoring stops at the first perfect
-    score.
+    score; no leaf holds more than phi + 1 templates, so
+    `simf_evals <= phi + 1`.
     """
 
     descent_steps: int = 0
@@ -194,7 +195,7 @@ class Miner:
     def __init__(self, config=None):
         self.config = config or MinerConfig()
         self._rules = compile_rules(self.config.mask_rules)
-        self.root = TreeNode(ROOT)
+        self.root = TreeNode()
         self.stats = MinerStats()
         self.last_cost = MessageCost()
         self._next_template_id = 1
@@ -207,24 +208,27 @@ class Miner:
         This is the whole of one message's work except building its
         result: descent (creating a leaf when no label matches), scoring
         the leaf's templates, the split of a leaf grown past phi, and the
-        cost and stats accounting.  Returns (template, created).
+        cost and stats accounting.  A leaf holding more than phi templates
+        has failed to split and takes no new one: the line merges into its
+        best template.  Returns (template, created).
         """
         stats = self.stats
         steps = 0
         node = self.root
         key = len(tokens)
         while True:
+            # the root's labels are ints, so it never has a wildcard child
             child = node.children.get(key)
-            if child is None and node.kind == INTERNAL:
-                child = node.children.get(WILDCARD)
             if child is None:
-                child = TreeNode(LEAF, node.depth + 1)
+                child = node.children.get(WILDCARD)
+            steps += 1
+            if child is None:
+                child = TreeNode([])
                 node.children[key] = child
                 stats.node_count += 1
-                if child.depth > stats.max_depth:
-                    stats.max_depth = child.depth
-            steps += 1
-            if child.kind == LEAF:
+                if steps > stats.max_depth:
+                    stats.max_depth = steps
+            if child.templates is not None:
                 break
             node = child
             key = tokens[node.pivot]
@@ -247,7 +251,8 @@ class Miner:
             # no position disagrees, so updating would change no token
             best.match_count += 1
             created = False
-        elif best_sim > self.config.sigma:
+        elif best_sim > self.config.sigma \
+                or len(leaf.templates) > self.config.phi:
             update_template(best, tokens)
             created = False
         else:
@@ -257,7 +262,7 @@ class Miner:
             stats.template_count += 1
             created = True
             if len(leaf.templates) > self.config.phi:
-                scans = self._split(leaf, tokens)
+                scans = self._split(leaf, tokens, steps)
         cost = self.last_cost
         cost.descent_steps = steps
         cost.simf_evals = evals
@@ -267,12 +272,14 @@ class Miner:
 
     # -- leaf splitting --------------------------------------------------
 
-    def _split(self, leaf, tokens):
-        """Turn a saturated leaf into an internal node keyed on a pivot.
+    def _split(self, leaf, tokens, depth):
+        """Turn a saturated leaf, `depth` steps below the root, into an
+        internal node keyed on a pivot.
 
         The pivots above it come from walking `tokens` again: nodes keep no
         parent link, so no tree holds a reference cycle.  Returns the token
-        comparisons of the pivot scan; a leaf with no usable pivot is kept.
+        comparisons of the pivot scan; a leaf with no usable pivot is kept
+        with its phi + 1 templates.
         """
         excluded = set()
         node = self.root.children[len(tokens)]
@@ -283,25 +290,18 @@ class Miner:
         scans = len(leaf.templates) * len(leaf.templates[0].tokens)
         pivot = select_pivot(leaf.templates, excluded)
         if pivot is None:
-            leaf.splittable = False
             return scans
         groups = {}
         for tpl in leaf.templates:
             groups.setdefault(tpl.tokens[pivot], []).append(tpl)
-        leaf.kind = INTERNAL
         leaf.pivot = pivot
-        leaf.children = {}
+        leaf.children = {label: TreeNode(tpls)
+                         for label, tpls in groups.items()}
         leaf.templates = None
-        leaf.splittable = True
-        for label, tpls in groups.items():
-            child = TreeNode(LEAF, leaf.depth + 1)
-            child.templates = tpls
-            leaf.children[label] = child
         self.stats.node_count += len(groups)
         self.stats.splits_performed += 1
-        depth = leaf.depth + 1
-        if depth > self.stats.max_depth:
-            self.stats.max_depth = depth
+        if depth + 1 > self.stats.max_depth:
+            self.stats.max_depth = depth + 1
         return scans
 
     # -- public API ------------------------------------------------------
@@ -334,7 +334,7 @@ class Miner:
         stack = [self.root]
         while stack:
             node = stack.pop()
-            if node.kind == LEAF:
+            if node.templates is not None:
                 yield node
             else:
                 stack.extend(node.children.values())
@@ -344,8 +344,8 @@ class Miner:
     def snapshot(self):
         """Serialize the full miner state to bytes (versioned JSON).
 
-        `nodes` lists the tree depth first as [parent index, label, pivot,
-        splittable], the wildcard label as its marker, and `templates` holds
+        `nodes` lists the tree depth first as [parent index, label, pivot],
+        the wildcard label as its marker, and `templates` holds
         [leaf index, id, rendered text, match_count].  Of the counters, only
         messages_processed is stored; the others follow from the tree."""
         nodes, templates = [], []
@@ -354,8 +354,8 @@ class Miner:
             node, up, label = stack.pop()
             index = len(nodes)
             nodes.append([up, WILDCARD_TEXT if label is WILDCARD else label,
-                          node.pivot, node.splittable])
-            if node.kind == LEAF:
+                          node.pivot])
+            if node.templates is not None:
                 templates += ([index, t.id, t.render(), t.match_count]
                               for t in node.templates)
             else:
@@ -397,19 +397,21 @@ class Miner:
         first rule they break: every rule descent, assignment and splitting
         rely on.  Pivots lie inside the length and differ along each path,
         which bounds descent by length + 1 steps; a leaf's template ids
-        ascend, which the scoring in `_match` relies on."""
-        if nodes[0] != [-1, None, None, True]:
+        ascend, which the scoring in `_match` relies on, and a leaf holds at
+        most phi + 1 templates, which bounds its scoring."""
+        if nodes[0] != [-1, None, None]:
             raise ValueError("first node is not the root")
         built, lengths, stats = [self.root], [None], self.stats
         path, pivots = [0], set()   # the latest node's ancestry
         for i in range(1, len(nodes)):
-            up, label, pivot, splittable = nodes[i]
+            up, label, pivot = nodes[i]
             while path and path[-1] != up:
                 pivots.discard(built[path.pop()].pivot)
-            if type(up) is not int or not path or built[up].kind == LEAF:
+            if type(up) is not int or not path \
+                    or built[up].templates is not None:
                 raise ValueError(f"node {i}: bad parent {up!r}")
             parent = built[up]
-            if parent.kind == ROOT:
+            if parent is self.root:
                 length = label
                 if type(label) is not int or label < 0:
                     raise ValueError(f"node {i}: bad length {label!r}")
@@ -420,9 +422,7 @@ class Miner:
                 label = WILDCARD if label == WILDCARD_TEXT else label
             if label in parent.children:
                 raise ValueError(f"node {i}: duplicate label {label!r}")
-            if type(splittable) is not bool:
-                raise ValueError(f"node {i}: bad splittable {splittable!r}")
-            node = TreeNode(LEAF if pivot is None else INTERNAL, len(path))
+            node = TreeNode([] if pivot is None else None)
             if pivot is not None:
                 if type(pivot) is not int or not 0 <= pivot < length \
                         or pivot in pivots:
@@ -430,16 +430,15 @@ class Miner:
                 node.pivot = pivot
                 pivots.add(pivot)
                 stats.splits_performed += 1
-            node.splittable = splittable
             parent.children[label] = node
             built.append(node)
             lengths.append(length)
+            stats.max_depth = max(stats.max_depth, len(path))
             path.append(i)
-            stats.max_depth = max(stats.max_depth, node.depth)
         seen = set()
         for at, tid, text, count in templates:
             if type(at) is not int or not 0 <= at < len(built) \
-                    or built[at].kind != LEAF:
+                    or built[at].templates is None:
                 raise ValueError(f"template {tid!r}: node {at!r} is no leaf")
             if type(tid) is not int or not 0 < tid <= len(templates) \
                     or tid in seen:
@@ -454,6 +453,8 @@ class Miner:
             if held and held[-1].id > tid:
                 raise ValueError(f"template {tid}: ids of node {at} "
                                  "do not ascend")
+            if len(held) > self.config.phi:
+                raise ValueError(f"node {at}: more than phi + 1 templates")
             seen.add(tid)
             stats.messages_processed += count
             held.append(Template(tid, tokens, count))

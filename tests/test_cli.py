@@ -291,9 +291,9 @@ def _template_of_wrong_length():
 def _tree_100k_levels_deep():
     payload = _split_tree_snapshot()
     depth = 100_000
-    payload["nodes"] = ([[-1, None, None, True], [0, 1, 0, True]]
-                        + [[i, "a", 0, True] for i in range(1, depth)]
-                        + [[depth, "a", None, True]])
+    payload["nodes"] = ([[-1, None, None], [0, 1, 0]]
+                        + [[i, "a", 0] for i in range(1, depth)]
+                        + [[depth, "a", None]])
     payload["templates"] = []
     payload["messages_processed"] = 0
     return json.dumps(payload).encode()
@@ -310,17 +310,24 @@ _V1_SNAPSHOT = (
     b'["c",{"kind":"leaf","splittable":true,"templates":[{"id":2,'
     b'"tokens":["c","d","y"],"match_count":1}]}]]}]]}}')
 
+_V2_SNAPSHOT = (
+    b'{"magic":"ustep-snapshot","version":2,"config":{"sigma":0.5,"phi":1,'
+    b'"mask_rules":[],"strict_wildcard_sim":false},"messages_processed":2,'
+    b'"nodes":[[-1,null,null,true],[0,3,0,true],[1,"a",null,true],'
+    b'[1,"c",null,true]],"templates":[[2,1,"a b x",1],[3,2,"c d y",1]]}')
+
 
 @pytest.mark.parametrize("crafted", [
     _pivot_out_of_range, _template_of_wrong_length, _tree_100k_levels_deep,
     pytest.param(lambda: _V1_SNAPSHOT, id="v1_snapshot"),
-    pytest.param(_with((("nodes", 0), [0, None, None, True])),
+    pytest.param(lambda: _V2_SNAPSHOT, id="v2_snapshot"),
+    pytest.param(_with((("nodes", 0), [0, None, None])),
                  id="root_not_first"),
     pytest.param(_with((("nodes", 2, 0), 3)), id="parent_not_earlier"),
     pytest.param(_with((("nodes", 3, 0), 2)), id="parent_is_leaf"),
     pytest.param(_with((("nodes",), [
-        [-1, None, None, True], [0, 3, 0, True], [1, "a", None, True],
-        [0, 2, None, True], [1, "c", None, True]]),
+        [-1, None, None], [0, 3, 0], [1, "a", None], [0, 2, None],
+        [1, "c", None]]),
         (("templates", 1, 0), 4)), id="parent_off_the_path"),
     pytest.param(_with((("nodes", 2, 0), True)), id="bool_parent"),
     pytest.param(_with((("nodes", 1, 1), -1)), id="negative_length"),
@@ -330,8 +337,9 @@ _V1_SNAPSHOT = (
     pytest.param(_with((("nodes", 1, 2), -1)), id="negative_pivot"),
     pytest.param(_with((("nodes", 1, 2), 0.5)), id="float_pivot"),
     pytest.param(_with((("nodes", 2, 2), 0)), id="pivot_repeated_on_path"),
-    pytest.param(_with((("nodes", 2, 3), 1)), id="int_splittable"),
-    pytest.param(_with((("nodes", 2), [1, "a", None])), id="short_node"),
+    pytest.param(_with((("nodes", 2), [1, "a"])), id="short_node"),
+    pytest.param(_with((("nodes", 2), [1, "a", None, True])),
+                 id="four_field_node"),
     pytest.param(_with((("templates", 0, 0), 1)), id="template_on_inner"),
     pytest.param(_with((("templates", 0, 1), "x")), id="string_id"),
     pytest.param(_with((("templates", 0, 1), 3)), id="id_above_count"),
@@ -340,6 +348,11 @@ _V1_SNAPSHOT = (
     pytest.param(_with((("templates",), [[2, 2, "a b x", 1],
                                          [2, 1, "a b y", 1]])),
                  id="ids_descend_in_leaf"),
+    pytest.param(_with((("templates",), [[2, 1, "a b x", 1],
+                                         [2, 2, "a b y", 1],
+                                         [2, 3, "a b z", 1]]),
+                       (("messages_processed",), 3)),
+                 id="leaf_over_phi_plus_one"),
     pytest.param(_with((("templates", 0, 3), 0)), id="zero_match_count"),
     pytest.param(_with((("templates", 0, 2), 5)), id="int_template_text"),
     pytest.param(_with((("templates", 0, 2), ["a", "b", "x"])),

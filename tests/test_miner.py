@@ -3,8 +3,6 @@ import gc
 import pytest
 
 from ustep.miner import (
-    INTERNAL,
-    LEAF,
     Miner,
     MinerConfig,
     SnapshotError,
@@ -154,7 +152,7 @@ def test_descend_creates_length_leaf():
     res = m.process_message("one two three")
     assert res.created_new
     leaf = m.root.children[3]
-    assert leaf.kind == LEAF
+    assert leaf.templates is not None
     assert m.stats.node_count == 2
 
 
@@ -168,7 +166,7 @@ def test_descend_routes_by_length():
 def test_new_leaf_under_internal_node_for_unknown_pivot_token():
     m = _fig_miner()
     node = m.root.children[3]
-    assert node.kind == INTERNAL
+    assert node.pivot is not None
     before = set(node.children)
     m.process_message("Send 9 frames")
     assert set(node.children) == before | {"frames"}
@@ -256,7 +254,7 @@ def _fig_miner():
 def test_saturated_leaf_splits_on_diverse_position():
     m = _fig_miner()
     node = m.root.children[3]
-    assert node.kind == INTERNAL
+    assert node.templates is None
     assert node.pivot == 2
     assert set(node.children) == {"bytes", "packages", "packets"}
     bytes_leaf = node.children["bytes"]
@@ -278,7 +276,7 @@ def test_singleton_children_when_all_distinct():
     m.process_message("bb zz")
     m.process_message("cc zz")
     node = m.root.children[2]
-    assert node.kind == INTERNAL
+    assert node.templates is None
     assert node.pivot == 0
     assert len(node.children) == 3
     assert all(len(l.templates) == 1 for l in node.children.values())
@@ -294,10 +292,50 @@ def test_unsplittable_leaf_may_exceed_phi():
         m.process_message(line)
     leaf = next(leaf for leaf in m.iter_leaves()
                 if any(t.render() == "b b b" for t in leaf.templates))
-    assert leaf.kind == LEAF
-    assert not leaf.splittable
+    assert len(leaf.templates) == m.config.phi + 1
     assert [t.render() for t in leaf.templates] == ["b <*> b", "b b b"]
     assert len(leaf.templates) > m.config.phi
+
+
+def _wildcard_stream(n):
+    """Strict, phi = 1 input whose first split keys position 0 and sends
+    every fresh `v<i>` to the `<*>` child, which no pivot can split."""
+    return ["<*> c0 c1", "x c0 c1"] + [f"v{i} c0 c1" for i in range(n)]
+
+
+def test_full_leaf_merges_instead_of_growing():
+    m = Miner(MinerConfig(sigma=0.9, phi=1, strict_wildcard_sim=True))
+    lines = _wildcard_stream(2000)
+    for i, line in enumerate(lines):
+        result = m.process_message(line)
+        assert m.last_cost.simf_evals <= 2
+        if i >= 3:   # from v1 on: the leaf is full and never re-scanned
+            assert m.last_cost.pivot_scans == 0
+            assert (result.template_id, result.created_new) == (1, False)
+    assert m.templates() == [(1, "<*> c0 c1", 2000), (2, "x c0 c1", 1),
+                             (3, "v0 c0 c1", 1)]
+
+
+def test_nonstrict_leaf_stops_at_phi_plus_one():
+    # the last line reaches the full leaf behind two <*> labels
+    m = Miner(MinerConfig(sigma=0.95, phi=1, mask_rules=[r"\d+"]))
+    for line in ["c a", "7 c", "b 7", "a b", "a 7"]:
+        m.process_message(line)
+        assert m.last_cost.simf_evals <= 2
+    assert max(len(leaf.templates) for leaf in m.iter_leaves()) == 2
+
+
+def test_split_of_a_full_leaf_never_happens():
+    # "7 a" fills the <*> leaf under pivot 1; "a 7" reaches it and merges,
+    # where re-splitting it would leave a child with 2 templates
+    m = Miner(MinerConfig(sigma=0.8, phi=1, mask_rules=[r"\d+"],
+                          strict_wildcard_sim=True))
+    results = [m.process_message(line)
+               for line in ["<*> b", "7 7", "7 a", "a 7"]]
+    assert [(r.template_id, r.created_new) for r in results] == [
+        (1, True), (2, True), (3, True), (2, False)]
+    assert m.stats.splits_performed == 1
+    assert sorted(len(leaf.templates) for leaf in m.iter_leaves()) == [1, 2]
 
 
 def test_sigma_one_merges_perfect_matches():
@@ -351,6 +389,19 @@ def test_dropped_miner_leaves_no_cyclic_garbage():
     assert gc.collect() == 0
 
 
+def test_snapshot_of_a_full_leaf_round_trips():
+    m = Miner(MinerConfig(sigma=0.9, phi=1, strict_wildcard_sim=True))
+    lines = _wildcard_stream(40)
+    for line in lines[:20]:
+        m.process_message(line)
+    blob = m.snapshot()
+    restored = Miner.restore(blob)
+    assert restored.snapshot() == blob
+    for line in lines[20:] + ["y c0 c1", "v0 c0 c2"]:
+        assert restored.process_message(line) == m.process_message(line)
+        assert restored.last_cost == m.last_cost
+
+
 def test_truncated_snapshot_rejected():
     m = Miner()
     data = m.snapshot()
@@ -362,7 +413,7 @@ def test_wrong_magic_and_version_rejected():
     with pytest.raises(SnapshotError):
         Miner.restore(b'{"magic":"something-else","version":1}')
     good = Miner().snapshot().decode()
-    bad = good.replace('"version":2', '"version":99')
+    bad = good.replace('"version":3', '"version":99')
     assert bad != good
     with pytest.raises(SnapshotError):
         Miner.restore(bad.encode())

@@ -2,11 +2,11 @@ import json
 import random
 
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from synth import make_mixed_corpus, replace_at
-from ustep.miner import (LEAF, Miner, MinerConfig, SnapshotError, Template,
-                         sim_f, update_template)
+from ustep.miner import (Miner, MinerConfig, SnapshotError, Template, sim_f,
+                         update_template)
 from ustep.tokens import WILDCARD, compile_rules, preprocess, render, tokenize
 
 token = st.one_of(st.just(WILDCARD),
@@ -120,6 +120,7 @@ def test_snapshot_replay_equivalence(seed):
     b = Miner.restore(a.snapshot())
     for line in lines[80:]:
         assert a.process_message(line) == b.process_message(line)
+        assert b.last_cost.simf_evals <= b.config.phi + 1
 
 
 def _snapshot_under_test():
@@ -157,7 +158,8 @@ json_value = json_scalar | st.recursive(
 
 def _restores_or_raises_snapshot_error(blob):
     """Restore either refuses `blob` or gives a miner that works and keeps
-    the descent bound of length + 1 steps."""
+    the descent bound of length + 1 steps and the scoring bound of
+    phi + 1 templates."""
     try:
         miner = Miner.restore(blob)
     except SnapshotError:
@@ -166,6 +168,7 @@ def _restores_or_raises_snapshot_error(blob):
     for line in SNAPSHOT_LINES:
         length = len(miner.process_message(line).template_text.split())
         assert miner.last_cost.descent_steps <= length + 1
+        assert miner.last_cost.simf_evals <= miner.config.phi + 1
 
 
 @settings(max_examples=500, deadline=None)
@@ -193,7 +196,7 @@ MASKS = [r"\d+"]
 def _leaf_of(miner, tokens):
     """The leaf `tokens` descends to, or None if descent would create it."""
     node = miner.root.children.get(len(tokens))
-    while node is not None and node.kind != LEAF:
+    while node is not None and node.templates is None:
         child = node.children.get(tokens[node.pivot])
         node = node.children.get(WILDCARD) if child is None else child
     return node
@@ -218,7 +221,9 @@ def test_scoring_picks_the_first_maximum_of_a_full_scan(
                   for _, copy in before]
         result = miner.process_message(line)
         top = max(scores, default=None)
-        if top is not None and (top > sigma or top == 1.0):
+        # a leaf past phi has failed to split and merges whatever the score
+        if top is not None and (top > sigma or top == 1.0
+                                or len(before) > phi):
             tpl, copy = before[scores.index(top)]
             assert (result.template_id, result.created_new) == (tpl.id, False)
             if top == 1.0:
@@ -234,20 +239,16 @@ def test_scoring_picks_the_first_maximum_of_a_full_scan(
 @given(st.lists(masked_line, max_size=80),
        st.one_of(st.just(1.0), st.floats(0, 1)), st.integers(1, 4),
        st.booleans())
+# a full leaf behind two <*> labels, which no pivot can split
+@example(["c a", "7 c", "b 7", "a b", "a 7", "7 7"], 0.95, 1, False)
 def test_work_per_message_is_bounded_for_any_config(lines, sigma, phi,
                                                      strict):
     miner = Miner(MinerConfig(sigma=sigma, phi=phi, mask_rules=MASKS,
                               strict_wildcard_sim=strict))
     compiled = compile_rules(MASKS)
-    # a leaf outgrows phi only while no split is possible; splitting it
-    # later can leave a child that still holds more than phi templates
-    largest = 0   # templates of the largest non-splittable leaf so far
     for line in lines:
         length = len(tokenize(preprocess(line, compiled)))
         miner.process_message(line)
         cost = miner.last_cost
         assert cost.descent_steps <= length + 1
-        assert cost.simf_evals <= max(phi, largest)
-        largest = max([largest] + [len(leaf.templates) for leaf
-                                   in miner.iter_leaves()
-                                   if not leaf.splittable])
+        assert cost.simf_evals <= phi + 1
