@@ -8,6 +8,7 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import asdict
+from json.encoder import encode_basestring_ascii
 
 from .evaluation import (
     grouping_accuracy,
@@ -80,8 +81,10 @@ def _maybe_write_snapshot(miner, args):
 
 
 def cmd_parse(args):
+    """One compact JSON object per input line, written as
+    `json.dumps(fields, separators=(",", ":"))` would write it."""
     miner = _load_miner(args)
-    encode = json.JSONEncoder(separators=(",", ":")).encode
+    quote = encode_basestring_ascii
     write = sys.stdout.write
     start = time.perf_counter()
     n = 0
@@ -89,13 +92,11 @@ def cmd_parse(args):
         for line in fh:
             result = miner.process_message(line.rstrip("\r\n"))
             n += 1
-            write(encode({
-                "line_no": n,
-                "template_id": result.template_id,
-                "template": result.template_text,
-                "variables": result.variables,
-                "created_new": result.created_new,
-            }) + "\n")
+            write(f'{{"line_no":{n},"template_id":{result.template_id},'
+                  f'"template":{quote(result.template_text)},'
+                  f'"variables":[{",".join(map(quote, result.variables))}],'
+                  f'"created_new":{"true" if result.created_new else "false"}'
+                  '}\n')
     _maybe_write_snapshot(miner, args)
     elapsed = time.perf_counter() - start
     print(f"parsed {n} messages | {miner.stats.template_count} templates | "

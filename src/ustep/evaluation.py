@@ -13,7 +13,7 @@ from .tokens import compile_rules
 
 
 class DatasetFormatError(ValueError):
-    """Labeled CSV is missing a required column."""
+    """Labeled CSV is missing a required column or cannot be parsed."""
 
 
 @dataclass
@@ -71,22 +71,30 @@ REQUIRED_COLUMNS = ("LineId", "Content", "EventId")
 
 def load_labeled_dataset(path):
     """Read a loghub-style structured CSV into LabeledRecords, in file order."""
+    records = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for col in REQUIRED_COLUMNS:
-            if col not in header:
-                raise DatasetFormatError(
-                    f"{path}: missing required column {col!r}")
-        has_template = "EventTemplate" in header
-        records = []
-        for row in reader:
-            records.append(LabeledRecord(
-                line_id=int(row["LineId"]),
-                content=row["Content"],
-                event_id=row["EventId"],
-                event_template=row["EventTemplate"] if has_template else "",
-            ))
+        try:
+            header = reader.fieldnames or []
+            for col in REQUIRED_COLUMNS:
+                if col not in header:
+                    raise DatasetFormatError(
+                        f"{path}: missing required column {col!r}")
+            has_template = "EventTemplate" in header
+            for row in reader:
+                if any(row[col] is None for col in REQUIRED_COLUMNS):
+                    raise csv.Error("fewer fields than the header")
+                records.append(LabeledRecord(
+                    line_id=int(row["LineId"]),
+                    content=row["Content"],
+                    event_id=row["EventId"],
+                    event_template=row["EventTemplate"] if has_template
+                    else "",
+                ))
+        except csv.Error as exc:   # e.g. a field over csv.field_size_limit()
+            raise DatasetFormatError(
+                f"{path}: row {len(records) + 1} (line {reader.line_num}): "
+                f"{exc}") from exc
     return records
 
 

@@ -15,7 +15,6 @@ from dataclasses import asdict, dataclass, field
 
 from .tokens import (
     WILDCARD,
-    WILDCARD_TEXT,
     ConfigError,
     compile_rules,
     preprocess,
@@ -111,7 +110,7 @@ class MinerStats:
     max_depth: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class ParseResult:
     """Outcome of structuring one line: template identity plus variables."""
 
@@ -152,7 +151,7 @@ def sim_f(msg_tokens, tpl_tokens, strict):
         raise ValueError("sim_f requires equal token lengths")
     matches = 0
     for mt, tt in zip(msg_tokens, tpl_tokens):
-        if mt is tt or mt == tt or (not strict and tt is WILDCARD):
+        if mt == tt or (not strict and tt == WILDCARD):
             matches += 1
     return matches / n
 
@@ -162,7 +161,7 @@ def update_template(tpl, msg_tokens):
     tokens = tpl.tokens
     for j, mt in enumerate(msg_tokens):
         tt = tokens[j]
-        if tt is not mt and tt is not WILDCARD and tt != mt:
+        if tt != mt and tt != WILDCARD:
             tokens[j] = WILDCARD
             tpl._text = None
     tpl.match_count += 1
@@ -313,9 +312,8 @@ class Miner:
         return ParseResult(
             template_id=tpl.id,
             template_text=tpl.render(),
-            variables=[WILDCARD_TEXT if mt is WILDCARD else mt
-                       for mt, tt in zip(tokens, tpl.tokens)
-                       if tt is WILDCARD],
+            variables=[mt for mt, tt in zip(tokens, tpl.tokens)
+                       if tt == WILDCARD],
             created_new=created,
         )
 
@@ -345,16 +343,15 @@ class Miner:
         """Serialize the full miner state to bytes (versioned JSON).
 
         `nodes` lists the tree depth first as [parent index, label, pivot],
-        the wildcard label as its marker, and `templates` holds
-        [leaf index, id, rendered text, match_count].  Of the counters, only
-        messages_processed is stored; the others follow from the tree."""
+        and `templates` holds [leaf index, id, rendered text, match_count].
+        Of the counters, only messages_processed is stored; the others
+        follow from the tree."""
         nodes, templates = [], []
         stack = [(self.root, -1, None)]
         while stack:
             node, up, label = stack.pop()
             index = len(nodes)
-            nodes.append([up, WILDCARD_TEXT if label is WILDCARD else label,
-                          node.pivot])
+            nodes.append([up, label, node.pivot])
             if node.templates is not None:
                 templates += ([index, t.id, t.render(), t.match_count]
                               for t in node.templates)
@@ -419,7 +416,8 @@ class Miner:
                 length = lengths[up]
                 if type(label) is not str:
                     raise ValueError(f"node {i}: bad label {label!r}")
-                label = WILDCARD if label == WILDCARD_TEXT else label
+                if label == WILDCARD:
+                    label = WILDCARD   # the shared object, not a copy
             if label in parent.children:
                 raise ValueError(f"node {i}: duplicate label {label!r}")
             node = TreeNode([] if pivot is None else None)
@@ -457,6 +455,9 @@ class Miner:
                 raise ValueError(f"node {at}: more than phi + 1 templates")
             seen.add(tid)
             stats.messages_processed += count
+            if WILDCARD in text:
+                # one shared wildcard object, not a string per slot
+                tokens = [WILDCARD if t == WILDCARD else t for t in tokens]
             held.append(Template(tid, tokens, count))
         if type(messages) is not int or messages != stats.messages_processed:
             raise ValueError("messages_processed is not the match total")

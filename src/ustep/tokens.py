@@ -1,24 +1,12 @@
 """Tokenization and regex-mask preprocessing for raw log lines."""
 
 import re
-from typing import Union
 
-#: External rendering of a variable slot.
-WILDCARD_TEXT = "<*>"
-
-
-class _Wildcard:
-    """Sentinel for a variable position; never equal to any literal token."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return WILDCARD_TEXT
-
-
-WILDCARD = _Wildcard()
-
-Token = Union[str, _Wildcard]
+#: A variable slot: the plain token "<*>", compared with `==`.  A message
+#: token "<*>" (masked, or literal in the raw line) is a wildcard too.
+WILDCARD = "<*>"
+#: The same string, the name under which it is written out.
+WILDCARD_TEXT = WILDCARD
 
 
 class ConfigError(ValueError):
@@ -59,17 +47,15 @@ def preprocess(raw, rules):
 
 
 def tokenize(masked):
-    """Split a (possibly masked) line into its list of tokens.
+    """Split a (possibly masked) line into its tokens: `str.split`.
 
-    Maximal whitespace-free runs become tokens; a token exactly equal to
-    the wildcard marker becomes the wildcard sentinel.  Empty or
-    whitespace-only input yields an empty list.
+    Maximal whitespace-free runs become tokens, so a masked span that is a
+    whole token is the wildcard `"<*>"`.  Empty or whitespace-only input
+    yields an empty list.
     """
-    if WILDCARD_TEXT not in masked:
-        return masked.split()
-    return [WILDCARD if p == WILDCARD_TEXT else p for p in masked.split()]
+    return masked.split()
 
 
 def render(tokens):
-    """Join tokens with single spaces, wildcards as the external marker."""
-    return " ".join(WILDCARD_TEXT if t is WILDCARD else t for t in tokens)
+    """Join tokens with single spaces; a wildcard is already its text."""
+    return " ".join(tokens)

@@ -77,7 +77,7 @@ def _walk_tree_invariants(miner, phi):
         else:
             seen = set()
             for label, child in node.children.items():
-                key = id(label) if label is WILDCARD else (type(label), label)
+                key = (type(label), label)
                 assert key not in seen, "duplicate sibling label"
                 seen.add(key)
                 child_pivots = pivots
@@ -102,10 +102,10 @@ def _check_monotone(prev, miner):
         assert after is not None, "template id vanished"
         assert len(after) == len(before)
         for b, a in zip(before, after):
-            if b is WILDCARD:
-                assert a is WILDCARD
+            if b == WILDCARD:
+                assert a == WILDCARD
             else:
-                assert a is WILDCARD or a == b
+                assert a == WILDCARD or a == b
     return current
 
 

@@ -1,17 +1,25 @@
+import csv
 import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stdout
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from synth import replace_at
 from ustep.cli import EXIT_IO, EXIT_OK, EXIT_SNAPSHOT, EXIT_USAGE, main
+from ustep.evaluation import DatasetFormatError, load_labeled_dataset
 from ustep.miner import Miner, MinerConfig
+from ustep.tokens import WILDCARD
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -144,6 +152,86 @@ def test_parse_snapshot_round_trip(raw_file, tmp_path, capsys):
     assert not first["created_new"]
 
 
+# -- parse output, pinned ---------------------------------------------------
+
+# tests/data/parse_golden.log holds quotes, backslashes, control characters,
+# U+2028, non-ASCII and non-BMP text, literal <*>, undecodable bytes, CRLF
+# and lone CR.  Each parse_golden.<mode>.jsonl / .snap is the stdout and
+# --snapshot-out file of `ustep parse --input parse_golden.log` plus the
+# mode's flags.  Rewrite them only for a deliberate format change: files
+# regenerated from the code under test would pin nothing.
+GOLDEN_MODES = {
+    "default": [],
+    "masks": ["--masks", str(DATA / "parse_golden.masks")],
+    "strict": ["--masks", str(DATA / "parse_golden.masks"), "--strict-sim"],
+}
+
+
+@pytest.mark.parametrize("mode", GOLDEN_MODES)
+def test_parse_matches_golden_output(mode, tmp_path, capsys):
+    snap = tmp_path / "state.bin"
+    code, out, _ = run_cli(capsys, "parse", "--input",
+                           str(DATA / "parse_golden.log"),
+                           *GOLDEN_MODES[mode], "--snapshot-out", str(snap))
+    assert code == EXIT_OK
+    assert out.encode("utf-8") == \
+        (DATA / f"parse_golden.{mode}.jsonl").read_bytes()
+    assert snap.read_bytes() == \
+        (DATA / f"parse_golden.{mode}.snap").read_bytes()
+
+
+@pytest.mark.parametrize("mode", GOLDEN_MODES)
+def test_restored_wildcards_are_the_one_wildcard_object(mode):
+    blob = (DATA / f"parse_golden.{mode}.snap").read_bytes()
+    miner = Miner.restore(blob)
+    labels, stack = [], list(miner.root.children.values())
+    while stack:
+        node = stack.pop()
+        if node.templates is None:
+            labels += node.children
+            stack += node.children.values()
+    tokens = [t for leaf in miner.iter_leaves() for tpl in leaf.templates
+              for t in tpl.tokens]
+    assert WILDCARD in labels and WILDCARD in tokens
+    assert all(t is WILDCARD for t in labels + tokens if t == WILDCARD)
+    assert miner.snapshot() == blob
+
+
+# lines whose tokens JSON must escape, and that merge into templates
+hostile_token = st.one_of(
+    st.sampled_from(['"q"', "a\\b", "<*>", "x<*>", "caf\u00e9", "\U0001f600",
+                     "a\u2028b", "\x07", "\x00", "\x7f", "7", "42", "x"]),
+    st.text(st.characters(exclude_categories=("Cs",),
+                          exclude_characters="\r\n"),
+            min_size=1, max_size=4))
+hostile_line = st.lists(hostile_token, max_size=4).map(" ".join)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(hostile_line, max_size=20), st.booleans())
+def test_parse_line_is_compact_json_dumps(lines, masked):
+    rules = [r"\d+"] if masked else []
+    with tempfile.TemporaryDirectory() as tmp:
+        raw = Path(tmp, "raw.log")
+        raw.write_bytes("".join(line + "\n" for line in lines).encode())
+        masks = Path(tmp, "masks.txt")
+        masks.write_text("".join(rule + "\n" for rule in rules))
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = main(["parse", "--input", str(raw), "--masks", str(masks)])
+    assert code == EXIT_OK
+    miner = Miner(MinerConfig(mask_rules=rules))
+    want = []
+    for n, line in enumerate(lines, 1):
+        result = miner.process_message(line)
+        fields = {"line_no": n, "template_id": result.template_id,
+                  "template": result.template_text,
+                  "variables": result.variables,
+                  "created_new": result.created_new}
+        want.append(json.dumps(fields, separators=(",", ":")) + "\n")
+    assert out.getvalue() == "".join(want)
+
+
 # -- bench -----------------------------------------------------------------
 
 def test_bench_reports(labeled_file, capsys, tmp_path):
@@ -176,6 +264,26 @@ def test_bench_missing_column(tmp_path, capsys):
     code, _, err = run_cli(capsys, "bench", "--input", str(path))
     assert code == EXIT_USAGE
     assert "EventId" in err
+
+
+@pytest.mark.parametrize("row", [
+    pytest.param(f"2,{'x' * (csv.field_size_limit() + 1)},E1",
+                 id="oversized_field"),
+    pytest.param("2,short", id="missing_field"),
+])
+def test_bench_and_sweep_reject_an_unreadable_csv_row(row, tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"LineId,Content,EventId\n1,ok,E1\n{row}\n")
+    grid = tmp_path / "grid.csv"
+    grid.write_text("0.5,8\n")
+    with pytest.raises(DatasetFormatError, match="row 2"):
+        load_labeled_dataset(path)
+    for argv in (["bench", "--input", str(path)],
+                 ["sweep", "--input", str(path), "--grid", str(grid)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith(f"error: {path}: row 2")
 
 
 def test_bench_matches_library_run(labeled_file, capsys):

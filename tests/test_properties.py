@@ -24,7 +24,7 @@ def test_sim_in_unit_interval(tokens, strict):
 
 def loop_sim(msg_tokens, tpl_tokens, strict):
     """`sim_f` scored position by position, with no shortcut."""
-    return sum(mt is tt or mt == tt or (not strict and tt is WILDCARD)
+    return sum(mt == tt or (not strict and tt == WILDCARD)
                for mt, tt in zip(msg_tokens, tpl_tokens)) / len(msg_tokens)
 
 
@@ -56,12 +56,12 @@ def test_update_monotone(msg_tokens, data):
     tpl = Template(1, list(tpl_tokens))
     update_template(tpl, msg_tokens)
     for before, after, mt in zip(tpl_tokens, tpl.tokens, msg_tokens):
-        if before is WILDCARD:
-            assert after is WILDCARD
+        if before == WILDCARD:
+            assert after == WILDCARD
         elif before == mt:
             assert after == before
         else:
-            assert after is WILDCARD
+            assert after == WILDCARD
 
 
 @given(st.lists(literal_token, min_size=0, max_size=10))
