@@ -30,16 +30,19 @@ def _read_grid(path):
     """CSV-ish grid file of sigma,phi pairs; '#' comments allowed."""
     grid = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             parts = [p.strip() for p in line.replace(";", ",").split(",")]
             if parts == ["sigma", "phi"]:
                 continue
-            if len(parts) != 2:
-                raise ValueError(f"bad grid line: {line!r}")
-            grid.append((float(parts[0]), int(parts[1])))
+            try:
+                sigma, phi = parts
+                grid.append((float(sigma), int(phi)))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {number}: bad grid line "
+                                 f"{line!r}: {exc}") from exc
     return grid
 
 

@@ -84,8 +84,13 @@ def load_labeled_dataset(path):
             for row in reader:
                 if any(row[col] is None for col in REQUIRED_COLUMNS):
                     raise csv.Error("fewer fields than the header")
+                try:
+                    line_id = int(row["LineId"])
+                except ValueError:
+                    raise csv.Error(f"LineId {row['LineId']!r} is not an "
+                                    "integer") from None
                 records.append(LabeledRecord(
-                    line_id=int(row["LineId"]),
+                    line_id=line_id,
                     content=row["Content"],
                     event_id=row["EventId"],
                     event_template=row["EventTemplate"] if has_template

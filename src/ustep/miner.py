@@ -10,8 +10,10 @@ merges every later line into its best template, so no message scores more
 than `phi + 1` templates.
 """
 
+import gc
 import json
 from dataclasses import asdict, dataclass, field
+from functools import wraps
 
 from .tokens import (
     WILDCARD,
@@ -28,6 +30,27 @@ SNAPSHOT_VERSION = 3
 
 class SnapshotError(ValueError):
     """Snapshot bytes are corrupt or from an incompatible version."""
+
+
+def _collector_paused(method):
+    """Run `method` with the cyclic collector off, then put back the
+    caller's setting, also when it raises; a collector the caller turned
+    off stays off.
+
+    Snapshot and restore allocate objects per node, template and token.
+    Neither the tree nor the decoded payload holds a reference cycle, so
+    the collections those allocations would trigger free nothing and only
+    rescan the whole heap."""
+    @wraps(method)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return method(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+    return paused
 
 
 @dataclass
@@ -339,21 +362,22 @@ class Miner:
 
     # -- snapshot / restore ----------------------------------------------
 
+    @_collector_paused
     def snapshot(self):
         """Serialize the full miner state to bytes (versioned JSON).
 
         `nodes` lists the tree depth first as [parent index, label, pivot],
         and `templates` holds [leaf index, id, rendered text, match_count].
         Of the counters, only messages_processed is stored; the others
-        follow from the tree."""
+        follow from the tree.  The cyclic collector is paused meanwhile."""
         nodes, templates = [], []
         stack = [(self.root, -1, None)]
         while stack:
             node, up, label = stack.pop()
             index = len(nodes)
-            nodes.append([up, label, node.pivot])
+            nodes.append((up, label, node.pivot))
             if node.templates is not None:
-                templates += ([index, t.id, t.render(), t.match_count]
+                templates += ((index, t.id, t.render(), t.match_count)
                               for t in node.templates)
             else:
                 stack += ((child, index, key) for key, child
@@ -369,9 +393,11 @@ class Miner:
         return json.dumps(payload, separators=(",", ":")).encode("utf-8")
 
     @classmethod
+    @_collector_paused
     def restore(cls, data):
         """Rebuild a miner from snapshot bytes; replay-equivalent to the
-        original.  Raises SnapshotError on corrupt or mismatched input."""
+        original.  Raises SnapshotError on corrupt or mismatched input.
+        The cyclic collector is paused meanwhile."""
         try:
             payload = json.loads(data.decode("utf-8"))
         except (UnicodeDecodeError, ValueError, RecursionError) as exc:
@@ -398,8 +424,9 @@ class Miner:
         most phi + 1 templates, which bounds its scoring."""
         if nodes[0] != [-1, None, None]:
             raise ValueError("first node is not the root")
-        built, lengths, stats = [self.root], [None], self.stats
+        built, lengths = [self.root], [None]
         path, pivots = [0], set()   # the latest node's ancestry
+        splits = depth = 0
         for i in range(1, len(nodes)):
             up, label, pivot = nodes[i]
             while path and path[-1] != up:
@@ -427,18 +454,21 @@ class Miner:
                     raise ValueError(f"node {i}: bad pivot {pivot!r}")
                 node.pivot = pivot
                 pivots.add(pivot)
-                stats.splits_performed += 1
+                splits += 1
             parent.children[label] = node
             built.append(node)
             lengths.append(length)
-            stats.max_depth = max(stats.max_depth, len(path))
+            if len(path) > depth:
+                depth = len(path)
             path.append(i)
+        phi, n_nodes, n_templates = self.config.phi, len(built), len(templates)
         seen = set()
+        total = 0
         for at, tid, text, count in templates:
-            if type(at) is not int or not 0 <= at < len(built) \
+            if type(at) is not int or not 0 <= at < n_nodes \
                     or built[at].templates is None:
                 raise ValueError(f"template {tid!r}: node {at!r} is no leaf")
-            if type(tid) is not int or not 0 < tid <= len(templates) \
+            if type(tid) is not int or not 0 < tid <= n_templates \
                     or tid in seen:
                 raise ValueError(f"template id {tid!r} is not new in 1..N")
             if type(count) is not int or count < 1:
@@ -451,16 +481,20 @@ class Miner:
             if held and held[-1].id > tid:
                 raise ValueError(f"template {tid}: ids of node {at} "
                                  "do not ascend")
-            if len(held) > self.config.phi:
+            if len(held) > phi:
                 raise ValueError(f"node {at}: more than phi + 1 templates")
             seen.add(tid)
-            stats.messages_processed += count
+            total += count
             if WILDCARD in text:
                 # one shared wildcard object, not a string per slot
                 tokens = [WILDCARD if t == WILDCARD else t for t in tokens]
             held.append(Template(tid, tokens, count))
-        if type(messages) is not int or messages != stats.messages_processed:
+        if type(messages) is not int or messages != total:
             raise ValueError("messages_processed is not the match total")
-        stats.node_count = len(built)
+        stats = self.stats
+        stats.node_count = n_nodes
         stats.template_count = len(seen)
+        stats.messages_processed = total
+        stats.splits_performed = splits
+        stats.max_depth = depth
         self._next_template_id = len(seen) + 1

@@ -286,6 +286,34 @@ def test_bench_and_sweep_reject_an_unreadable_csv_row(row, tmp_path, capsys):
         assert err.startswith(f"error: {path}: row 2")
 
 
+def test_bench_and_sweep_name_the_row_of_a_non_integer_line_id(
+        tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_text("LineId,Content,EventId\n1,ok,E1\nx,no,E1\n")
+    grid = tmp_path / "grid.csv"
+    grid.write_text("0.5,8\n")
+    with pytest.raises(DatasetFormatError, match="row 2 .*'x'"):
+        load_labeled_dataset(path)
+    for argv in (["bench", "--input", str(path)],
+                 ["sweep", "--input", str(path), "--grid", str(grid)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith(f"error: {path}: row 2 (line 3): LineId 'x'")
+
+
+@pytest.mark.parametrize("line", ["abc,3", "0.5,x", "0.5", "0.5,8,1"])
+def test_sweep_names_the_file_and_line_of_a_bad_grid_line(
+        line, labeled_file, tmp_path, capsys):
+    grid = tmp_path / "grid.csv"
+    grid.write_text(f"# sigma,phi\n0.5,8\n\n{line}\n")
+    code, out, err = run_cli(capsys, "sweep", "--input", labeled_file,
+                             "--grid", str(grid))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith(f"error: {grid}: line 4: bad grid line {line!r}")
+
+
 def test_bench_matches_library_run(labeled_file, capsys):
     from ustep.evaluation import (grouping_accuracy, load_labeled_dataset,
                                   run_miner)

@@ -2,6 +2,7 @@ import gc
 
 import pytest
 
+from ustep import miner as miner_module
 from ustep.miner import (
     Miner,
     MinerConfig,
@@ -417,6 +418,65 @@ def test_wrong_magic_and_version_rejected():
     assert bad != good
     with pytest.raises(SnapshotError):
         Miner.restore(bad.encode())
+
+
+def _crafted_pivot_out_of_range():
+    m = Miner(MinerConfig(phi=1))
+    m.process_message("a b x")
+    m.process_message("c d y")
+    good = m.snapshot()
+    bad = good.replace(b'[0,3,0]', b'[0,3,7]')
+    assert bad != good
+    return bad
+
+
+@pytest.fixture(params=[True, False], ids=["collector_on", "collector_off"])
+def collector(request):
+    """The cyclic collector switched on or off for the test, then put back
+    as it was."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+def test_snapshot_and_restore_leave_the_collector_as_found(collector):
+    m = Miner(MinerConfig(phi=2))
+    for i in range(50):
+        m.process_message(f"job {i % 7} state {i % 3} done")
+    blob = m.snapshot()
+    assert gc.isenabled() is collector
+    assert Miner.restore(blob).snapshot() == blob
+    assert gc.isenabled() is collector
+
+
+@pytest.mark.parametrize("data", [
+    pytest.param(b"\xff{", id="corrupt_bytes"),
+    pytest.param(_crafted_pivot_out_of_range(), id="crafted_tree"),
+])
+def test_failed_restore_leaves_the_collector_as_found(collector, data):
+    with pytest.raises(SnapshotError):
+        Miner.restore(data)
+    assert gc.isenabled() is collector
+
+
+def test_snapshot_and_restore_run_with_the_collector_paused(monkeypatch):
+    seen = []
+
+    def spy(real):
+        def call(*args):
+            seen.append(gc.isenabled())
+            return real(*args)
+        return call
+
+    m = Miner()
+    m.process_message("a b c")
+    monkeypatch.setattr(miner_module, "asdict", spy(miner_module.asdict))
+    monkeypatch.setattr(miner_module, "tokenize", spy(miner_module.tokenize))
+    assert gc.isenabled()
+    Miner.restore(m.snapshot())
+    assert seen == [False, False]
+    assert gc.isenabled()
 
 
 def test_template_id_is_process_message_without_the_result():
