@@ -137,8 +137,13 @@ def cmd_sweep(args):
         print("error: empty hyperparameter grid", file=sys.stderr)
         return EXIT_USAGE
     rules = read_mask_rules(args.masks) if args.masks else []
-    best, results = sweep(records, grid, mask_rules=rules,
-                          strict=args.strict_sim, dataset_name=args.input)
+    from concurrent.futures.process import BrokenProcessPool
+    try:
+        best, results = sweep(records, grid, mask_rules=rules,
+                              strict=args.strict_sim, dataset_name=args.input)
+    except BrokenProcessPool as exc:
+        print(f"error: a sweep worker process died: {exc}", file=sys.stderr)
+        return EXIT_IO
     if args.format == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(["sigma", "phi", "parsing_accuracy"])

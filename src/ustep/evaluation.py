@@ -1,6 +1,7 @@
 """Scoring and measurement harness: grouping accuracy, throughput, robustness."""
 
 import csv
+import os
 import random
 import statistics
 import time
@@ -220,12 +221,59 @@ def robustness_stats(values):
     )
 
 
+def _template_ids(config, messages):
+    """Template ids of `messages` (token lists) on a fresh miner."""
+    match = Miner(config)._match
+    return [match(tokens)[0].id for tokens in messages]
+
+
+#: a sweep worker's token lists, inherited from the parent by fork
+_worker_messages = None
+
+
+def _init_worker(messages):
+    global _worker_messages
+    _worker_messages = messages
+
+
+def _worker_template_ids(config):
+    return _template_ids(config, _worker_messages)
+
+
+def _grid_template_ids(configs, messages):
+    """Yield each config's template ids over `messages`, in grid order.
+
+    Fork, unlike spawn, hands the token lists to the workers without
+    pickling them.  ProcessPoolExecutor, unlike multiprocessing.Pool,
+    raises BrokenProcessPool when a worker dies instead of hanging.
+    """
+    affinity = getattr(os, "sched_getaffinity", None)
+    jobs = min(len(configs), len(affinity(0))) if affinity else 1
+    if jobs < 2:
+        yield from (_template_ids(cfg, messages) for cfg in configs)
+        return
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+    with ProcessPoolExecutor(jobs, mp_context=get_context("fork"),
+                             initializer=_init_worker,
+                             initargs=(messages,)) as pool:
+        yield from pool.map(_worker_template_ids, configs)
+
+
 def sweep(records, grid, mask_rules=(), strict=False, dataset_name=""):
     """Score every (sigma, phi) pair over a labeled corpus.
 
     Returns (best result, all results) where each result is a dict with
     sigma, phi and parsing_accuracy.  Ties go to the earliest grid entry.
     Each line is masked and tokenized once, for the whole grid.
+
+    On Linux the grid points run in up to min(grid size, usable CPUs)
+    forked processes, elsewhere one after another; nothing selects this.
+    Workers share the token lists copy-on-write and return only template
+    ids; scoring stays in the calling process.  Forking a process that
+    runs threads can deadlock the child, so call `sweep` before starting
+    any.  A worker that dies raises
+    `concurrent.futures.process.BrokenProcessPool`.
     """
     if not grid:
         raise ValueError("empty hyperparameter grid")
@@ -240,9 +288,7 @@ def sweep(records, grid, mask_rules=(), strict=False, dataset_name=""):
                 for r in records]
     results = []
     best = None
-    for cfg in configs:
-        match = Miner(cfg)._match
-        predicted = [match(tokens)[0].id for tokens in messages]
+    for cfg, predicted in zip(configs, _grid_template_ids(configs, messages)):
         report = grouping_accuracy(records, predicted, dataset_name)
         res = {"sigma": cfg.sigma, "phi": cfg.phi,
                "parsing_accuracy": report.parsing_accuracy}

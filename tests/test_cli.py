@@ -354,6 +354,33 @@ def test_sweep_duplicate_rows_deterministic(labeled_file, tmp_path, capsys):
     assert r1 == r2
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_sweep_output_is_the_same_serial_and_forked(
+        fmt, labeled_file, tmp_path, capsys, usable_cpus):
+    grid = tmp_path / "grid.csv"
+    grid.write_text("0.3,4\n0.5,4\n0.7,8\n0.9,2\n")
+    runs = []
+    for cpus in (1, 4):
+        usable_cpus(cpus)
+        runs.append(run_cli(capsys, "sweep", "--input", labeled_file,
+                            "--grid", str(grid), "--format", fmt))
+    serial, forked = runs
+    assert serial[0] == EXIT_OK
+    assert forked == serial
+
+
+def test_sweep_reports_a_dead_worker(labeled_file, tmp_path, capfd,
+                                     dying_workers):
+    grid = tmp_path / "grid.csv"
+    grid.write_text("0.3,4\n0.5,4\n")
+    code = main(["sweep", "--input", labeled_file, "--grid", str(grid)])
+    out, err = capfd.readouterr()
+    assert code == EXIT_IO
+    assert out == ""
+    assert err.startswith("error: a sweep worker process died")
+    assert len(err.splitlines()) == 1
+
+
 def test_sweep_empty_grid(labeled_file, tmp_path, capsys):
     grid = tmp_path / "grid.csv"
     grid.write_text("# nothing\n")

@@ -1,7 +1,11 @@
+import gc
+import multiprocessing
 import os
 import random
 import subprocess
 import sys
+import warnings
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -168,14 +172,13 @@ def test_run_miner_ids_are_process_message_ids(strict):
     assert miner.snapshot() == reference.snapshot()
 
 
-def test_sweep_scores_like_process_message_per_grid_point():
+def test_sweep_scores_like_process_message_per_grid_point(usable_cpus):
     rng = random.Random(3)
     lines, labels = make_template_corpus(rng, 12, 8, 400)
     records = [LabeledRecord(i + 1, line, str(g))
                for i, (line, g) in enumerate(zip(lines, labels))]
     grid = [(0.3, 2), (0.5, 8), (0.6, 4), (0.8, 1)]
     rules = [r"v[1-3]\d"]
-    _, results = sweep(records, grid, mask_rules=rules, strict=True)
     want = []
     for sigma, phi in grid:
         miner = Miner(MinerConfig(sigma=sigma, phi=phi, mask_rules=rules,
@@ -184,8 +187,23 @@ def test_sweep_scores_like_process_message_per_grid_point():
                      for line in lines]
         want.append({"sigma": sigma, "phi": phi, "parsing_accuracy":
                      grouping_accuracy(records, predicted).parsing_accuracy})
-    assert results == want
-    assert len({r["parsing_accuracy"] for r in results}) > 1
+    assert len({r["parsing_accuracy"] for r in want}) > 1
+    collector_on = gc.isenabled()
+    for cpus in (1, 4):     # serial, then forked workers
+        usable_cpus(cpus)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, results = sweep(records, grid, mask_rules=rules, strict=True)
+        assert results == want
+        assert multiprocessing.active_children() == []
+        assert gc.isenabled() == collector_on
+
+
+def test_sweep_raises_when_a_worker_dies(dying_workers):
+    records = _records(["A", "A", "B"])
+    with pytest.raises(BrokenProcessPool):
+        sweep(records, [(0.5, 4), (0.6, 4), (0.7, 4)])
+    assert multiprocessing.active_children() == []
 
 
 # -- robustness ------------------------------------------------------------
@@ -233,8 +251,10 @@ def test_empty_values_rejected():
 
 
 def test_import_does_not_load_numpy():
+    # nor the process pool modules, which only a forking sweep imports
     src = Path(__file__).resolve().parent.parent / "src"
     subprocess.run(
         [sys.executable, "-c",
-         "import ustep, sys; assert 'numpy' not in sys.modules"],
+         "import ustep, sys; assert not {'numpy', 'concurrent.futures', "
+         "'multiprocessing'} & set(sys.modules)"],
         env={**os.environ, "PYTHONPATH": str(src)}, check=True)
