@@ -39,7 +39,7 @@ def main():
         records = load_labeled_dataset(path)
         masks = MASK_DIR / f"{name}.txt"
         rules = read_mask_rules(masks) if masks.exists() else []
-        best, _ = sweep(records, GRID, mask_rules=rules, dataset_name=name)
+        best, _ = sweep(records, GRID, mask_rules=rules)
         per_dataset[name] = best
         print(f"{name:12s} PA={best['parsing_accuracy']:.3f} "
               f"(sigma={best['sigma']}, phi={best['phi']})", file=sys.stderr)

@@ -13,7 +13,6 @@ from .miner import (
 )
 from .tokens import (
     WILDCARD,
-    WILDCARD_TEXT,
     ConfigError,
     preprocess,
     render,
@@ -35,8 +34,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Miner", "MinerConfig", "MinerStats", "ParseResult", "SnapshotError",
     "Template", "select_pivot", "sim_f", "update_template",
-    "WILDCARD", "WILDCARD_TEXT", "ConfigError", "preprocess", "render",
-    "tokenize",
+    "WILDCARD", "ConfigError", "preprocess", "render", "tokenize",
     "GroupingReport", "LabeledRecord", "RobustnessReport",
     "ThroughputReport", "grouping_accuracy", "load_labeled_dataset",
     "robustness_stats", "run_miner",

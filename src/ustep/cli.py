@@ -65,16 +65,13 @@ def _open_input(path):
 
 
 def _build_config(args):
+    """The flags' config; MinerConfig's defaults fill the flags not given."""
+    given = {name: value for name, value in (("sigma", args.sigma),
+                                              ("phi", args.phi))
+             if value is not None}
     rules = read_mask_rules(args.masks) if args.masks else []
-    return MinerConfig(sigma=args.sigma, phi=args.phi, mask_rules=rules,
-                       strict_wildcard_sim=args.strict_sim)
-
-
-def _load_miner(args):
-    if args.snapshot_in:
-        with open(args.snapshot_in, "rb") as fh:
-            return Miner.restore(fh.read())
-    return Miner(_build_config(args))
+    return MinerConfig(mask_rules=rules,
+                       strict_wildcard_sim=bool(args.strict_sim), **given)
 
 
 def _maybe_write_snapshot(miner, args):
@@ -86,7 +83,18 @@ def _maybe_write_snapshot(miner, args):
 def cmd_parse(args):
     """One compact JSON object per input line, written as
     `json.dumps(fields, separators=(",", ":"))` would write it."""
-    miner = _load_miner(args)
+    if args.snapshot_in:
+        given = [flag for flag, value in (
+            ("--sigma", args.sigma), ("--phi", args.phi),
+            ("--strict-sim", args.strict_sim), ("--masks", args.masks))
+            if value is not None]
+        if given:
+            raise ValueError("--snapshot-in takes the whole config from the "
+                             f"snapshot; drop {', '.join(given)}")
+        with open(args.snapshot_in, "rb") as fh:
+            miner = Miner.restore(fh.read())
+    else:
+        miner = Miner(_build_config(args))
     quote = encode_basestring_ascii
     write = sys.stdout.write
     start = time.perf_counter()
@@ -133,14 +141,11 @@ def cmd_bench(args):
 def cmd_sweep(args):
     records = load_labeled_dataset(args.input)
     grid = _read_grid(args.grid)
-    if not grid:
-        print("error: empty hyperparameter grid", file=sys.stderr)
-        return EXIT_USAGE
     rules = read_mask_rules(args.masks) if args.masks else []
     from concurrent.futures.process import BrokenProcessPool
     try:
         best, results = sweep(records, grid, mask_rules=rules,
-                              strict=args.strict_sim, dataset_name=args.input)
+                              strict=args.strict_sim)
     except BrokenProcessPool as exc:
         print(f"error: a sweep worker process died: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -177,11 +182,12 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_miner_flags(p):
-        p.add_argument("--sigma", type=float, default=0.5,
+        p.add_argument("--sigma", type=float,
                        help="similarity threshold in [0,1] (default 0.5)")
-        p.add_argument("--phi", type=int, default=8,
+        p.add_argument("--phi", type=int,
                        help="leaf capacity before splitting (default 8)")
         p.add_argument("--strict-sim", dest="strict_sim", action="store_true",
+                       default=None,
                        help="template wildcards only match masked tokens")
         p.add_argument("--masks", help="mask-rules file, one regex per line")
 
@@ -199,7 +205,7 @@ def build_parser():
     p.add_argument("--timing-csv", help="write per-chunk timings here")
     p.add_argument("--snapshot-out", help="write miner state on exit")
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.set_defaults(func=cmd_bench, snapshot_in=None)
+    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("sweep", help="grid-search sigma/phi over a corpus")
     p.add_argument("--input", required=True, help="labeled structured CSV")

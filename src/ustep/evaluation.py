@@ -7,6 +7,7 @@ import statistics
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import islice
 
 from . import miner as miner_module
 from .miner import Miner, MinerConfig
@@ -81,7 +82,6 @@ def load_labeled_dataset(path):
                 if col not in header:
                     raise DatasetFormatError(
                         f"{path}: missing required column {col!r}")
-            has_template = "EventTemplate" in header
             for row in reader:
                 if any(row[col] is None for col in REQUIRED_COLUMNS):
                     raise csv.Error("fewer fields than the header")
@@ -94,8 +94,7 @@ def load_labeled_dataset(path):
                     line_id=line_id,
                     content=row["Content"],
                     event_id=row["EventId"],
-                    event_template=row["EventTemplate"] if has_template
-                    else "",
+                    event_template=row.get("EventTemplate", ""),
                 ))
         except csv.Error as exc:   # e.g. a field over csv.field_size_limit()
             raise DatasetFormatError(
@@ -150,25 +149,17 @@ def run_miner(config, lines, chunk_size=1000, dataset_name=""):
     miner = Miner(config)
     predicted = []
     chunk_seconds = []
-    total = 0
     it = iter(lines)
-    done = False
-    while not done:
+    while True:
         start = time.perf_counter()
-        n = 0
-        for line in it:
-            predicted.append(miner.template_id(line))
-            n += 1
-            if n == chunk_size:
-                break
-        else:
-            done = True
-        if n:
-            chunk_seconds.append(time.perf_counter() - start)
-            total += n
+        before = len(predicted)
+        predicted += map(miner.template_id, islice(it, chunk_size))
+        if len(predicted) == before:
+            break
+        chunk_seconds.append(time.perf_counter() - start)
     report = ThroughputReport(
         dataset_name=dataset_name,
-        total_messages=total,
+        total_messages=len(predicted),
         total_seconds=sum(chunk_seconds),
         chunk_size=chunk_size,
         chunk_seconds=chunk_seconds,
@@ -260,7 +251,7 @@ def _grid_template_ids(configs, messages):
         yield from pool.map(_worker_template_ids, configs)
 
 
-def sweep(records, grid, mask_rules=(), strict=False, dataset_name=""):
+def sweep(records, grid, mask_rules=(), strict=False):
     """Score every (sigma, phi) pair over a labeled corpus.
 
     Returns (best result, all results) where each result is a dict with
@@ -289,7 +280,7 @@ def sweep(records, grid, mask_rules=(), strict=False, dataset_name=""):
     results = []
     best = None
     for cfg, predicted in zip(configs, _grid_template_ids(configs, messages)):
-        report = grouping_accuracy(records, predicted, dataset_name)
+        report = grouping_accuracy(records, predicted)
         res = {"sigma": cfg.sigma, "phi": cfg.phi,
                "parsing_accuracy": report.parsing_accuracy}
         results.append(res)

@@ -5,8 +5,6 @@ import re
 #: A variable slot: the plain token "<*>", compared with `==`.  A message
 #: token "<*>" (masked, or literal in the raw line) is a wildcard too.
 WILDCARD = "<*>"
-#: The same string, the name under which it is written out.
-WILDCARD_TEXT = WILDCARD
 
 
 class ConfigError(ValueError):
@@ -42,7 +40,7 @@ def preprocess(raw, rules):
     one.  A match inside a larger token only replaces the matched span.
     """
     for rule in rules:
-        raw = rule.sub(WILDCARD_TEXT, raw)
+        raw = rule.sub(WILDCARD, raw)
     return raw
 
 

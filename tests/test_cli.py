@@ -152,6 +152,24 @@ def test_parse_snapshot_round_trip(raw_file, tmp_path, capsys):
     assert not first["created_new"]
 
 
+@pytest.mark.parametrize("flag", [
+    ["--sigma", "0.1"], ["--phi", "2"], ["--strict-sim"], ["--masks", "m"]],
+    ids=["sigma", "phi", "strict-sim", "masks"])
+def test_parse_snapshot_in_refuses_miner_flags(flag, raw_file, tmp_path,
+                                                capsys):
+    snap = tmp_path / "state.bin"
+    snap.write_bytes(Miner(MinerConfig(sigma=0.9)).snapshot())
+    out_snap = tmp_path / "out.bin"
+    code, out, err = run_cli(capsys, "parse", "--input", raw_file,
+                             "--snapshot-in", str(snap), *flag,
+                             "--snapshot-out", str(out_snap))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == ("error: --snapshot-in takes the whole config from the "
+                   f"snapshot; drop {flag[0]}\n")
+    assert not out_snap.exists()
+
+
 # -- parse output, pinned ---------------------------------------------------
 
 # tests/data/parse_golden.log holds quotes, backslashes, control characters,
@@ -250,6 +268,18 @@ def test_bench_reports(labeled_file, capsys, tmp_path):
     assert rows[3].split(",")[1] == "2"
 
 
+def test_bench_csv_format(labeled_file, capsys):
+    code, out, err = run_cli(capsys, "bench", "--input", labeled_file,
+                             "--chunk-size", "4", "--format", "csv")
+    assert code == EXIT_OK
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["chunk_index", "messages", "seconds",
+                       "cumulative_seconds"]
+    assert [row[:2] for row in rows[1:]] == [["0", "4"], ["1", "4"],
+                                              ["2", "2"]]
+    assert err == "parsing_accuracy=1.000000\n"
+
+
 def test_bench_single_message(tmp_path, capsys):
     path = tmp_path / "one.csv"
     path.write_text("LineId,Content,EventId\n1,hello world,E1\n")
@@ -344,6 +374,16 @@ def test_sweep_best_and_grid(labeled_file, tmp_path, capsys):
     assert rep["best"] == first
 
 
+def test_sweep_skips_a_grid_header_line(labeled_file, tmp_path, capsys):
+    grid = tmp_path / "grid.csv"
+    grid.write_text("sigma,phi\n0.5,8\n")
+    code, out, _ = run_cli(capsys, "sweep", "--input", labeled_file,
+                           "--grid", str(grid))
+    assert code == EXIT_OK
+    assert [(r["sigma"], r["phi"]) for r in json.loads(out)["results"]] == \
+        [(0.5, 8)]
+
+
 def test_sweep_duplicate_rows_deterministic(labeled_file, tmp_path, capsys):
     grid = tmp_path / "grid.csv"
     grid.write_text("0.5,8\n0.5,8\n")
@@ -384,10 +424,11 @@ def test_sweep_reports_a_dead_worker(labeled_file, tmp_path, capfd,
 def test_sweep_empty_grid(labeled_file, tmp_path, capsys):
     grid = tmp_path / "grid.csv"
     grid.write_text("# nothing\n")
-    code, _, err = run_cli(capsys, "sweep", "--input", labeled_file,
-                           "--grid", str(grid))
+    code, out, err = run_cli(capsys, "sweep", "--input", labeled_file,
+                             "--grid", str(grid))
     assert code == EXIT_USAGE
-    assert "grid" in err
+    assert out == ""
+    assert err == "error: empty hyperparameter grid\n"
 
 
 # -- stats -----------------------------------------------------------------
@@ -580,3 +621,18 @@ def test_invalid_sigma_rejected(raw_file, capsys):
     code, _, _ = run_cli(capsys, "parse", "--input", raw_file,
                          "--sigma", "1.7")
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv, want", [
+    ([], EXIT_USAGE),
+    (["frobnicate"], EXIT_USAGE),
+    (["parse", "--phi", "x"], EXIT_USAGE),
+    (["--help"], EXIT_OK),
+], ids=["no-arguments", "unknown-command", "bad-phi", "help"])
+def test_argument_errors_exit_1_and_help_exits_0(argv, want, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == want
+    if want == EXIT_OK:
+        assert out.startswith("usage: ustep")
+    else:
+        assert "error:" in err

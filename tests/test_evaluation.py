@@ -105,12 +105,20 @@ def test_load_labeled_csv(tmp_path):
     path.write_text(
         "LineId,Content,EventId,EventTemplate\n"
         '1,"hello, world",E1,hello <*>\n'
-        "2,bye now,E2,bye <*>\n")
+        "2,bye now,E2,bye <*>\n"
+        "3,no template,E3\n")
     recs = load_labeled_dataset(path)
-    assert len(recs) == 2
+    assert len(recs) == 3
     assert recs[0].content == "hello, world"
     assert recs[0].event_id == "E1"
     assert recs[1].line_id == 2
+    assert [r.event_template for r in recs] == ["hello <*>", "bye <*>", None]
+
+
+def test_load_without_template_column(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("LineId,Content,EventId\n1,hello,E1\n")
+    assert load_labeled_dataset(path)[0].event_template == ""
 
 
 def test_load_header_only(tmp_path):
@@ -206,7 +214,20 @@ def test_sweep_raises_when_a_worker_dies(dying_workers):
     assert multiprocessing.active_children() == []
 
 
+def test_sweep_rejects_an_empty_grid():
+    with pytest.raises(ValueError, match="empty hyperparameter grid"):
+        sweep(_records(["A"]), [])
+
+
 # -- robustness ------------------------------------------------------------
+
+def test_robustness_as_dict_keys_in_report_order():
+    rep = robustness_stats([0.8, 0.2, 1.0, 0.5, 0.4, 0.7])
+    assert list(rep.as_dict().items()) == [
+        ("values", rep.values), ("min", 0.2), ("q1", rep.q1),
+        ("median", rep.median), ("q3", rep.q3), ("max", 1.0),
+        ("iqr", rep.iqr)]
+
 
 def test_singleton_stats():
     rep = robustness_stats([1.0])
