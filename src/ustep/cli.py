@@ -4,10 +4,14 @@ import argparse
 import csv
 import io
 import json
+import os
+import stat
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import asdict
+from functools import partial
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 
 from .evaluation import (
@@ -18,12 +22,16 @@ from .evaluation import (
     write_timing_csv,
 )
 from .miner import Miner, MinerConfig, SnapshotError
-from .tokens import read_mask_rules
+from .tokens import preprocess, read_mask_rules
+from .workers import forked_map, usable_cpus
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_SNAPSHOT = 3
+
+#: input lines a `parse` mask worker takes at a time
+CHUNK_LINES = 2000
 
 
 def _read_grid(path):
@@ -80,6 +88,38 @@ def _maybe_write_snapshot(miner, args):
             fh.write(miner.snapshot())
 
 
+def _mask_lines(rules, lines):
+    """A chunk of input lines, each without its line end and masked."""
+    return [preprocess(line.rstrip("\r\n"), rules) for line in lines]
+
+
+def _mask_workers(miner, path, reader):
+    """How many worker processes `parse` masks its input in: usable CPUs
+    - 1 when the miner has mask rules, the input is a regular file given
+    by path, not stdin, and at least 2 CPUs are usable; otherwise none,
+    so that each line of a pipe, FIFO or tty is written as soon as it is
+    read."""
+    if not miner.config.mask_rules or path == "-" \
+            or not stat.S_ISREG(os.fstat(reader.fileno()).st_mode):
+        return 0
+    return usable_cpus() - 1
+
+
+def _parse_results(miner, reader, workers):
+    """`miner`'s result for each line of `reader`, in input order.  With
+    workers, forked processes mask chunks of lines ahead of the miner,
+    which structures each masked line as `process_message` would."""
+    if not workers:
+        for line in reader:
+            yield miner.process_message(line.rstrip("\r\n"))
+        return
+    chunks = iter(lambda: list(islice(reader, CHUNK_LINES)), [])
+    with closing(forked_map(partial(_mask_lines, miner._rules), chunks,
+                            workers)) as masked:
+        for chunk in masked:
+            yield from map(miner._structure, chunk)
+
+
 def cmd_parse(args):
     """One compact JSON object per input line, written as
     `json.dumps(fields, separators=(",", ":"))` would write it."""
@@ -99,10 +139,9 @@ def cmd_parse(args):
     write = sys.stdout.write
     start = time.perf_counter()
     n = 0
-    with _open_input(args.input) as fh:
-        for line in fh:
-            result = miner.process_message(line.rstrip("\r\n"))
-            n += 1
+    with _open_input(args.input) as fh, closing(_parse_results(
+            miner, fh, _mask_workers(miner, args.input, fh))) as results:
+        for n, result in enumerate(results, 1):
             write(f'{{"line_no":{n},"template_id":{result.template_id},'
                   f'"template":{quote(result.template_text)},'
                   f'"variables":[{",".join(map(quote, result.variables))}],'
@@ -142,13 +181,8 @@ def cmd_sweep(args):
     records = load_labeled_dataset(args.input)
     grid = _read_grid(args.grid)
     rules = read_mask_rules(args.masks) if args.masks else []
-    from concurrent.futures.process import BrokenProcessPool
-    try:
-        best, results = sweep(records, grid, mask_rules=rules,
-                              strict=args.strict_sim)
-    except BrokenProcessPool as exc:
-        print(f"error: a sweep worker process died: {exc}", file=sys.stderr)
-        return EXIT_IO
+    best, results = sweep(records, grid, mask_rules=rules,
+                          strict=args.strict_sim)
     if args.format == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(["sigma", "phi", "parsing_accuracy"])
@@ -223,6 +257,12 @@ def build_parser():
     return parser
 
 
+def _broken_pool():
+    """`BrokenProcessPool`, imported only once an exception needs it."""
+    from concurrent.futures.process import BrokenProcessPool
+    return BrokenProcessPool
+
+
 def main(argv=None):
     parser = build_parser()
     try:
@@ -239,6 +279,10 @@ def main(argv=None):
         return EXIT_USAGE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except _broken_pool() as exc:
+        print(f"error: a {args.command} worker process died: {exc}",
+              file=sys.stderr)
         return EXIT_IO
 
 

@@ -1,7 +1,6 @@
 """Scoring and measurement harness: grouping accuracy, throughput, robustness."""
 
 import csv
-import os
 import random
 import statistics
 import time
@@ -12,6 +11,7 @@ from itertools import islice
 from . import miner as miner_module
 from .miner import Miner, MinerConfig
 from .tokens import compile_rules
+from .workers import forked_map, usable_cpus
 
 
 class DatasetFormatError(ValueError):
@@ -218,37 +218,25 @@ def _template_ids(config, messages):
     return [match(tokens)[0].id for tokens in messages]
 
 
-#: a sweep worker's token lists, inherited from the parent by fork
-_worker_messages = None
-
-
-def _init_worker(messages):
-    global _worker_messages
-    _worker_messages = messages
-
-
-def _worker_template_ids(config):
-    return _template_ids(config, _worker_messages)
-
-
 def _grid_template_ids(configs, messages):
-    """Yield each config's template ids over `messages`, in grid order.
+    """Yield (grid index, template ids over `messages`) for every config.
 
-    Fork, unlike spawn, hands the token lists to the workers without
-    pickling them.  ProcessPoolExecutor, unlike multiprocessing.Pool,
-    raises BrokenProcessPool when a worker dies instead of hanging.
+    The configs go highest `sigma` first, then highest `phi`: fewer merges
+    and fuller leaves make those the longest to run, so no worker is left
+    with a long point once the others are done.  With two or more usable
+    CPUs they run in forked workers, which share the token lists with the
+    caller copy-on-write.
     """
-    affinity = getattr(os, "sched_getaffinity", None)
-    jobs = min(len(configs), len(affinity(0))) if affinity else 1
+    order = sorted(range(len(configs)), reverse=True,
+                   key=lambda i: (configs[i].sigma, configs[i].phi))
+    todo = [configs[i] for i in order]
+    jobs = min(len(configs), usable_cpus())
     if jobs < 2:
-        yield from (_template_ids(cfg, messages) for cfg in configs)
-        return
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import get_context
-    with ProcessPoolExecutor(jobs, mp_context=get_context("fork"),
-                             initializer=_init_worker,
-                             initargs=(messages,)) as pool:
-        yield from pool.map(_worker_template_ids, configs)
+        ids = (_template_ids(cfg, messages) for cfg in todo)
+    else:
+        ids = forked_map(lambda cfg: _template_ids(cfg, messages), todo,
+                         jobs)
+    return zip(order, ids)
 
 
 def sweep(records, grid, mask_rules=(), strict=False):
@@ -260,8 +248,10 @@ def sweep(records, grid, mask_rules=(), strict=False):
 
     On Linux the grid points run in up to min(grid size, usable CPUs)
     forked processes, elsewhere one after another; nothing selects this.
-    Workers share the token lists copy-on-write and return only template
-    ids; scoring stays in the calling process.  Forking a process that
+    The points expected to run longest go first.  Workers share the token
+    lists copy-on-write, run with the cyclic collector off and return only
+    template ids; scoring stays in the calling process, and results and
+    the best point come in grid order.  Forking a process that
     runs threads can deadlock the child, so call `sweep` before starting
     any.  A worker that dies raises
     `concurrent.futures.process.BrokenProcessPool`.
@@ -277,12 +267,13 @@ def sweep(records, grid, mask_rules=(), strict=False):
     messages = [miner_module.tokenize(miner_module.preprocess(r.content,
                                                               rules))
                 for r in records]
+    accuracy = [None] * len(configs)
+    for i, predicted in _grid_template_ids(configs, messages):
+        accuracy[i] = grouping_accuracy(records, predicted).parsing_accuracy
     results = []
     best = None
-    for cfg, predicted in zip(configs, _grid_template_ids(configs, messages)):
-        report = grouping_accuracy(records, predicted)
-        res = {"sigma": cfg.sigma, "phi": cfg.phi,
-               "parsing_accuracy": report.parsing_accuracy}
+    for cfg, pa in zip(configs, accuracy):
+        res = {"sigma": cfg.sigma, "phi": cfg.phi, "parsing_accuracy": pa}
         results.append(res)
         if best is None or res["parsing_accuracy"] > best["parsing_accuracy"]:
             best = res

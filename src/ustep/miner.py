@@ -330,7 +330,13 @@ class Miner:
 
     def process_message(self, raw):
         """Structure one raw line; any line is parseable."""
-        tokens = tokenize(preprocess(raw, self._rules))
+        return self._structure(preprocess(raw, self._rules))
+
+    def _structure(self, masked):
+        """`process_message` of the raw line that the mask rules turned
+        into `masked`.  Never pass a line through the rules twice: a rule
+        that matches the empty string inserts another wildcard."""
+        tokens = tokenize(masked)
         tpl, created = self._match(tokens)
         return ParseResult(
             template_id=tpl.id,

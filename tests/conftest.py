@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from ustep import evaluation
+from ustep import cli, evaluation
 
 sys.path.insert(0, os.path.dirname(__file__))
 
@@ -11,12 +11,13 @@ sys.path.insert(0, os.path.dirname(__file__))
 @pytest.fixture
 def usable_cpus(monkeypatch):
     """Set how many CPUs `os.sched_getaffinity` reports, and so whether
-    `sweep` runs serially (1) or forks up to that many workers.  Asking
-    for more than one skips the test where the call does not exist, since
-    `sweep` never forks there."""
+    `sweep` runs serially (1) or forks up to that many workers, and
+    whether masked `parse --input FILE` runs serially (1) or forks one
+    fewer mask workers.  Asking for more than one skips the test where the
+    call does not exist, since nothing forks there."""
     def report(n):
         if n > 1 and not hasattr(os, "sched_getaffinity"):
-            pytest.skip("sweep forks workers only where "
+            pytest.skip("sweep and parse fork workers only where "
                         "os.sched_getaffinity exists")
         monkeypatch.setattr(os, "sched_getaffinity",
                             lambda pid: set(range(n)), raising=False)
@@ -25,15 +26,16 @@ def usable_cpus(monkeypatch):
 
 @pytest.fixture
 def dying_workers(usable_cpus, monkeypatch):
-    """Fork sweep workers that exit at once with status 1, as a crashed
-    worker would.  Run in the test's own process, the same call fails the
-    test instead of ending it."""
+    """Fork sweep and parse mask workers that exit at once with status 1,
+    as a crashed worker would.  Run in the test's own process, the same
+    call fails the test instead of ending it."""
     usable_cpus(4)
     caller = os.getpid()
 
-    def die(config, messages):
+    def die(*args):
         if os.getpid() == caller:
-            raise AssertionError("sweep scored a grid point in the caller")
+            raise AssertionError("a worker's function ran in the caller")
         os._exit(1)
 
     monkeypatch.setattr(evaluation, "_template_ids", die)
+    monkeypatch.setattr(cli, "_mask_lines", die)

@@ -1,6 +1,8 @@
 import csv
+import gc
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 
 from synth import replace_at
+from ustep import cli
 from ustep.cli import EXIT_IO, EXIT_OK, EXIT_SNAPSHOT, EXIT_USAGE, main
 from ustep.evaluation import DatasetFormatError, load_labeled_dataset
 from ustep.miner import Miner, MinerConfig
@@ -248,6 +251,158 @@ def test_parse_line_is_compact_json_dumps(lines, masked):
                   "created_new": result.created_new}
         want.append(json.dumps(fields, separators=(",", ":")) + "\n")
     assert out.getvalue() == "".join(want)
+
+
+# -- parse with mask workers --------------------------------------------------
+
+GOLDEN_LOG = DATA / "parse_golden.log"
+GOLDEN_MASKS = str(DATA / "parse_golden.masks")
+
+
+@pytest.fixture
+def long_log(tmp_path):
+    """parse_golden.log 20 times over: 6,381 lines, so three full chunks
+    and a partial one, each holding undecodable bytes, CRLF and lone CR."""
+    path = tmp_path / "long.log"
+    path.write_bytes(GOLDEN_LOG.read_bytes() * 20)
+    return str(path)
+
+
+@pytest.fixture
+def chunks_handed_out(monkeypatch):
+    """A list that grows by one each time `parse` hands a chunk of lines
+    to its mask workers."""
+    handed = []
+    forked_map = cli.forked_map
+
+    def counted(fn, chunks, workers):
+        def each():
+            for chunk in chunks:
+                handed.append(len(chunk))
+                yield chunk
+        return forked_map(fn, each(), workers)
+
+    monkeypatch.setattr(cli, "forked_map", counted)
+    return handed
+
+
+def parse_run(capsys, tmp_path, *argv):
+    """(exit code, stdout bytes, --snapshot-out bytes) of `ustep parse`."""
+    snap = tmp_path / "run.snap"
+    code, out, _ = run_cli(capsys, "parse", *argv, "--snapshot-out",
+                           str(snap))
+    blob = snap.read_bytes()
+    snap.unlink()
+    return code, out.encode("utf-8"), blob
+
+
+@pytest.mark.parametrize("mode", ["masks", "strict"])
+def test_parse_matches_golden_output_serial_and_pipelined(
+        mode, tmp_path, capsys, usable_cpus, chunks_handed_out):
+    want = ((DATA / f"parse_golden.{mode}.jsonl").read_bytes(),
+            (DATA / f"parse_golden.{mode}.snap").read_bytes())
+    collector_on = gc.isenabled()
+    for cpus, chunks in ((1, []), (3, [320])):
+        usable_cpus(cpus)
+        code, out, snap = parse_run(capsys, tmp_path, "--input",
+                                    str(GOLDEN_LOG), *GOLDEN_MODES[mode])
+        assert code == EXIT_OK
+        assert (out, snap) == want
+        assert chunks_handed_out == chunks
+        assert multiprocessing.active_children() == []
+        assert gc.isenabled() == collector_on
+
+
+@pytest.mark.parametrize("strict", [[], ["--strict-sim"]],
+                         ids=["default", "strict"])
+@pytest.mark.parametrize("rules", [GOLDEN_MASKS, r"\d*"],
+                         ids=["golden-masks", "empty-match"])
+def test_parse_pipelined_output_is_the_serial_output(
+        rules, strict, long_log, tmp_path, capsys, usable_cpus,
+        chunks_handed_out):
+    if not rules.endswith(".masks"):
+        # masking again would add a wildcard beside each one already there
+        masks = tmp_path / "masks.txt"
+        masks.write_text(rules + "\n")
+        rules = str(masks)
+    argv = ("--input", long_log, "--masks", rules, *strict)
+    usable_cpus(1)
+    serial = parse_run(capsys, tmp_path, *argv)
+    assert chunks_handed_out == []
+    usable_cpus(3)
+    assert parse_run(capsys, tmp_path, *argv) == serial
+    assert chunks_handed_out == [2000, 2000, 2000, 381]
+    assert serial[0] == EXIT_OK
+    assert serial[1].count(b"\n") == 6381
+
+
+def test_parse_hands_out_at_most_two_chunks_per_worker_ahead(
+        long_log, monkeypatch, usable_cpus, chunks_handed_out):
+    usable_cpus(3)                  # 2 mask workers
+    monkeypatch.setattr(cli, "CHUNK_LINES", 100)
+    ahead = []
+
+    class Stdout:
+        """Notes, per line written, the chunks handed out beyond it."""
+
+        def write(self, text):
+            ahead.append(len(chunks_handed_out) - len(ahead) // 100 - 1)
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(sys, "stdout", Stdout())
+    assert main(["parse", "--input", long_log, "--masks",
+                 GOLDEN_MASKS]) == EXIT_OK
+    assert len(ahead) == 6381
+    assert max(ahead) == 2 * 2
+
+
+def test_parse_stdin_stays_serial(monkeypatch, capsys, dying_workers):
+    # stdin is a regular file here, and still no mask worker may run
+    with open(GOLDEN_LOG, "rb") as fh:
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(fh))
+        code, out, _ = run_cli(capsys, "parse", "--masks", GOLDEN_MASKS)
+    assert code == EXIT_OK
+    assert out.encode("utf-8") == \
+        (DATA / "parse_golden.masks.jsonl").read_bytes()
+
+
+def test_parse_reports_a_dead_mask_worker(long_log, tmp_path, capfd,
+                                          dying_workers):
+    snap = tmp_path / "out.snap"
+    code = main(["parse", "--input", long_log, "--masks", GOLDEN_MASKS,
+                 "--snapshot-out", str(snap)])
+    _, err = capfd.readouterr()
+    assert code == EXIT_IO
+    assert err.startswith("error: a parse worker process died")
+    assert len(err.splitlines()) == 1
+    assert not snap.exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_parse_stops_its_mask_workers_when_stdout_closes(
+        long_log, monkeypatch, capsys, usable_cpus, chunks_handed_out):
+    usable_cpus(3)
+    monkeypatch.setattr(cli, "CHUNK_LINES", 100)
+
+    class ClosedPipe:
+        written = 0
+
+        def write(self, text):
+            self.written += 1
+            if self.written > 250:
+                raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    code = main(["parse", "--input", long_log, "--masks", GOLDEN_MASKS])
+    assert code == EXIT_IO
+    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+    assert len(chunks_handed_out) < 64
+    assert multiprocessing.active_children() == []
 
 
 # -- bench -----------------------------------------------------------------

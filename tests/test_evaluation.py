@@ -12,6 +12,7 @@ import pytest
 
 from synth import (make_mixed_corpus, make_template_corpus, pa_oracle,
                    partition_to_labels, set_partitions)
+from ustep import evaluation
 from ustep.evaluation import (
     DatasetFormatError,
     LabeledRecord,
@@ -214,6 +215,26 @@ def test_sweep_raises_when_a_worker_dies(dying_workers):
     assert multiprocessing.active_children() == []
 
 
+def test_sweep_hands_out_the_longest_points_first(usable_cpus,
+                                                  monkeypatch):
+    handed = []
+    forked_map = evaluation.forked_map
+
+    def spy(fn, configs, workers):
+        handed.extend((cfg.sigma, cfg.phi) for cfg in configs)
+        return forked_map(fn, configs, workers)
+
+    monkeypatch.setattr(evaluation, "forked_map", spy)
+    usable_cpus(2)
+    records = [LabeledRecord(i, "same line", "E1") for i in range(1, 4)]
+    grid = [(0.5, 8), (0.9, 2), (0.3, 16), (0.9, 16), (0.5, 8)]
+    best, results = sweep(records, grid)
+    assert handed == [(0.9, 16), (0.9, 2), (0.5, 8), (0.5, 8), (0.3, 16)]
+    # every point scores 1.0, so the tie goes to the first grid entry
+    assert [(r["sigma"], r["phi"]) for r in results] == grid
+    assert best is results[0]
+
+
 def test_sweep_rejects_an_empty_grid():
     with pytest.raises(ValueError, match="empty hyperparameter grid"):
         sweep(_records(["A"]), [])
@@ -272,10 +293,12 @@ def test_empty_values_rejected():
 
 
 def test_import_does_not_load_numpy():
-    # nor the process pool modules, which only a forking sweep imports
+    # nor the process pool modules, which only forking sweep and parse
+    # runs import
     src = Path(__file__).resolve().parent.parent / "src"
     subprocess.run(
         [sys.executable, "-c",
-         "import ustep, sys; assert not {'numpy', 'concurrent.futures', "
+         "import ustep, ustep.cli, sys; "
+         "assert not {'numpy', 'concurrent.futures', "
          "'multiprocessing'} & set(sys.modules)"],
         env={**os.environ, "PYTHONPATH": str(src)}, check=True)
