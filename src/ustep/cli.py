@@ -94,11 +94,11 @@ def _mask_lines(rules, lines):
 
 
 def _mask_workers(miner, path, reader):
-    """How many worker processes `parse` masks its input in: usable CPUs
-    - 1 when the miner has mask rules, the input is a regular file given
-    by path, not stdin, and at least 2 CPUs are usable; otherwise none,
-    so that each line of a pipe, FIFO or tty is written as soon as it is
-    read."""
+    """How many worker processes `parse` masks its input in: one fewer
+    than the usable CPUs when the miner has mask rules, the input is a
+    regular file given by path, not stdin, and at least 2 CPUs are
+    usable; otherwise none, so that each line of a pipe, FIFO or tty is
+    written as soon as it is read."""
     if not miner.config.mask_rules or path == "-" \
             or not stat.S_ISREG(os.fstat(reader.fileno()).st_mode):
         return 0
