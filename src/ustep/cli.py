@@ -94,15 +94,18 @@ def _mask_lines(rules, lines):
 
 
 def _mask_workers(miner, path, reader):
-    """How many worker processes `parse` masks its input in: one fewer
-    than the usable CPUs when the miner has mask rules, the input is a
-    regular file given by path, not stdin, and at least 2 CPUs are
-    usable; otherwise none, so that each line of a pipe, FIFO or tty is
-    written as soon as it is read."""
+    """How many worker processes `parse` masks its input in: one when the
+    miner has mask rules, the input is a regular file given by path, not
+    stdin, and at least 2 CPUs are usable; otherwise none, so that each
+    line of a pipe, FIFO or tty is written as soon as it is read.  On 2
+    CPUs one worker masks ahead of the calling process, which tokenizes,
+    matches and writes every line, and a second was no faster; without
+    mask rules a worker made `parse` slower.  More CPUs than 2 were not
+    measured, so they get one worker too."""
     if not miner.config.mask_rules or path == "-" \
             or not stat.S_ISREG(os.fstat(reader.fileno()).st_mode):
         return 0
-    return usable_cpus() - 1
+    return int(usable_cpus() >= 2)
 
 
 def _parse_results(miner, reader, workers):

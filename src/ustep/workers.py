@@ -3,6 +3,7 @@
 
 import gc
 import os
+import signal
 from collections import deque
 
 
@@ -23,6 +24,9 @@ def _init_worker(fn):
     # what a worker builds holds no reference cycle and dies with the
     # worker, so a collection would only rescan its heap
     gc.disable()
+    # Ctrl-C reaches the whole process group; the caller alone handles it
+    # and shuts the pool down, so each worker does not print a traceback
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
 def _call(item):
@@ -38,8 +42,10 @@ def forked_map(fn, items, workers):
     than 2 * workers items are handed out beyond the latest result
     yielded, so `items` may be a stream larger than memory.  Closing the
     generator cancels the items not yet started, and waits for the rest.
-    The workers run with the cyclic collector off; the caller's setting
-    is untouched.  A worker that dies raises
+    The workers run with the cyclic collector off and ignore SIGINT; the
+    caller's settings are untouched, and an interrupt of the caller stops
+    the pool once the items already started are done.  A worker that
+    dies raises
     `concurrent.futures.process.BrokenProcessPool`.
 
     ProcessPoolExecutor, unlike multiprocessing.Pool, raises that error

@@ -4,9 +4,11 @@ import io
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -271,7 +273,7 @@ def long_log(tmp_path):
 @pytest.fixture
 def chunks_handed_out(monkeypatch):
     """A list that grows by one each time `parse` hands a chunk of lines
-    to its mask workers."""
+    to its mask worker."""
     handed = []
     forked_map = cli.forked_map
 
@@ -336,9 +338,9 @@ def test_parse_pipelined_output_is_the_serial_output(
     assert serial[1].count(b"\n") == 6381
 
 
-def test_parse_hands_out_at_most_two_chunks_per_worker_ahead(
+def test_parse_hands_out_at_most_two_chunks_to_its_one_worker_ahead(
         long_log, monkeypatch, usable_cpus, chunks_handed_out):
-    usable_cpus(3)                  # 2 mask workers
+    usable_cpus(4)                  # still one mask worker
     monkeypatch.setattr(cli, "CHUNK_LINES", 100)
     ahead = []
 
@@ -355,7 +357,7 @@ def test_parse_hands_out_at_most_two_chunks_per_worker_ahead(
     assert main(["parse", "--input", long_log, "--masks",
                  GOLDEN_MASKS]) == EXIT_OK
     assert len(ahead) == 6381
-    assert max(ahead) == 2 * 2
+    assert max(ahead) == 2 * 1
 
 
 def test_parse_stdin_stays_serial(monkeypatch, capsys, dying_workers):
@@ -403,6 +405,31 @@ def test_parse_stops_its_mask_workers_when_stdout_closes(
     assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
     assert len(chunks_handed_out) < 64
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                    reason="parse forks a mask worker only where "
+                           "os.sched_getaffinity exists")
+def test_ctrl_c_gives_one_traceback_from_a_pipelined_parse(long_log):
+    # a child that reports 2 CPUs, so it masks in a worker on any host
+    code = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
+            "from ustep.cli import main; sys.exit(main(sys.argv[1:]))")
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code, "parse", "--input", long_log,
+         "--masks", GOLDEN_MASKS],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, start_new_session=True)
+    # a line out means a chunk came back from the worker; the child then
+    # blocks on the full pipe, so it is still running when interrupted,
+    # and the worker soon waits idle for the next chunk (a worker stopped
+    # in the middle of a chunk would hand the interrupt back quietly)
+    assert proc.stdout.readline().startswith(b'{"line_no":1,')
+    time.sleep(0.5)
+    os.killpg(proc.pid, signal.SIGINT)      # as Ctrl-C signals a terminal
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == -signal.SIGINT
+    assert err.count(b"Traceback") == 1
+    assert err.rstrip().endswith(b"KeyboardInterrupt")
 
 
 # -- bench -----------------------------------------------------------------
