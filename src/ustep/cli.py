@@ -35,7 +35,8 @@ CHUNK_LINES = 2000
 
 
 def _read_grid(path):
-    """CSV-ish grid file of sigma,phi pairs; '#' comments allowed."""
+    """CSV-ish grid file of sigma,phi pairs; '#' comments allowed.  A line
+    that is no valid miner config is an error naming the file and line."""
     grid = []
     with open(path, encoding="utf-8") as fh:
         for number, line in enumerate(fh, 1):
@@ -47,7 +48,9 @@ def _read_grid(path):
                 continue
             try:
                 sigma, phi = parts
-                grid.append((float(sigma), int(phi)))
+                point = float(sigma), int(phi)
+                MinerConfig(*point)
+                grid.append(point)
             except ValueError as exc:
                 raise ValueError(f"{path}: line {number}: bad grid line "
                                  f"{line!r}: {exc}") from exc

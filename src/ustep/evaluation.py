@@ -72,9 +72,11 @@ REQUIRED_COLUMNS = ("LineId", "Content", "EventId")
 
 
 def load_labeled_dataset(path):
-    """Read a loghub-style structured CSV into LabeledRecords, in file order."""
+    """Read a loghub-style structured CSV into LabeledRecords, in file order.
+
+    A UTF-8 byte order mark at the start of the file is skipped."""
     records = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         try:
             header = reader.fieldnames or []

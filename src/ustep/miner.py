@@ -221,6 +221,11 @@ class Miner:
         self.stats = MinerStats()
         self.last_cost = MessageCost()
         self._next_template_id = 1
+        # the one string of each distinct token in the templates `_match`
+        # creates and in the labels it keys their leaves by; it keeps a
+        # token a template later widened to the wildcard, so it grows with
+        # the templates created, never with the lines merged
+        self._tokens = {WILDCARD: WILDCARD}
 
     # -- descent and assignment ----------------------------------------
 
@@ -245,6 +250,8 @@ class Miner:
                 child = node.children.get(WILDCARD)
             steps += 1
             if child is None:
+                if node is not self.root:
+                    key = self._tokens.setdefault(key, key)
                 child = TreeNode([])
                 node.children[key] = child
                 stats.node_count += 1
@@ -278,7 +285,8 @@ class Miner:
             update_template(best, tokens)
             created = False
         else:
-            best = Template(self._next_template_id, list(tokens))
+            best = Template(self._next_template_id, list(
+                map(self._tokens.setdefault, tokens, tokens)))
             self._next_template_id += 1
             leaf.templates.append(best)
             stats.template_count += 1

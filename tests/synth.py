@@ -113,3 +113,17 @@ def replace_at(document, path, value):
         target = target[key]
     target[path[-1]] = value
     return document
+
+
+def labels_and_tokens(miner):
+    """The labels of the children of `miner`'s internal nodes, and the
+    tokens of its templates, each string once per place it is held."""
+    labels, stack = [], list(miner.root.children.values())
+    while stack:
+        node = stack.pop()
+        if node.templates is None:
+            labels += node.children
+            stack += node.children.values()
+    tokens = [t for leaf in miner.iter_leaves() for tpl in leaf.templates
+              for t in tpl.tokens]
+    return labels, tokens

@@ -16,7 +16,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from synth import replace_at
+from synth import labels_and_tokens, replace_at
 from ustep import cli
 from ustep.cli import EXIT_IO, EXIT_OK, EXIT_SNAPSHOT, EXIT_USAGE, main
 from ustep.evaluation import DatasetFormatError, load_labeled_dataset
@@ -207,14 +207,7 @@ def test_parse_matches_golden_output(mode, tmp_path, capsys):
 def test_restored_wildcards_are_the_one_wildcard_object(mode):
     blob = (DATA / f"parse_golden.{mode}.snap").read_bytes()
     miner = Miner.restore(blob)
-    labels, stack = [], list(miner.root.children.values())
-    while stack:
-        node = stack.pop()
-        if node.templates is None:
-            labels += node.children
-            stack += node.children.values()
-    tokens = [t for leaf in miner.iter_leaves() for tpl in leaf.templates
-              for t in tpl.tokens]
+    labels, tokens = labels_and_tokens(miner)
     assert WILDCARD in labels and WILDCARD in tokens
     assert all(t is WILDCARD for t in labels + tokens if t == WILDCARD)
     assert miner.snapshot() == blob
@@ -470,6 +463,23 @@ def test_bench_single_message(tmp_path, capsys):
     assert json.loads(out)["grouping"]["parsing_accuracy"] == 1.0
 
 
+def test_bench_and_sweep_read_a_csv_with_a_byte_order_mark(
+        labeled_file, tmp_path, capsys):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + Path(labeled_file).read_bytes())
+    grid = tmp_path / "grid.csv"
+    grid.write_text("0.5,8\n")
+    assert load_labeled_dataset(path) == load_labeled_dataset(labeled_file)
+    code, out, _ = run_cli(capsys, "bench", "--input", str(path))
+    assert code == EXIT_OK
+    assert json.loads(out)["grouping"]["parsing_accuracy"] == 1.0
+    want = run_cli(capsys, "sweep", "--input", labeled_file,
+                   "--grid", str(grid))
+    assert want[0] == EXIT_OK
+    assert run_cli(capsys, "sweep", "--input", str(path),
+                   "--grid", str(grid)) == want
+
+
 def test_bench_missing_column(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("LineId,Content\n1,x\n")
@@ -514,7 +524,8 @@ def test_bench_and_sweep_name_the_row_of_a_non_integer_line_id(
         assert err.startswith(f"error: {path}: row 2 (line 3): LineId 'x'")
 
 
-@pytest.mark.parametrize("line", ["abc,3", "0.5,x", "0.5", "0.5,8,1"])
+@pytest.mark.parametrize("line", ["abc,3", "0.5,x", "0.5", "0.5,8,1",
+                                  "2.0,3", "0.5,0", "nan,4"])
 def test_sweep_names_the_file_and_line_of_a_bad_grid_line(
         line, labeled_file, tmp_path, capsys):
     grid = tmp_path / "grid.csv"

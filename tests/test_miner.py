@@ -1,7 +1,9 @@
 import gc
+import random
 
 import pytest
 
+from synth import labels_and_tokens, make_mixed_corpus
 from ustep import miner as miner_module
 from ustep.miner import (
     Miner,
@@ -235,6 +237,30 @@ def test_masked_positions_surface_as_marker_in_variables():
     res = m.process_message("got blk_222 ok")
     assert res.template_text == "got <*> ok"
     assert res.variables == ["<*>"]
+
+
+# -- token table -----------------------------------------------------------
+
+def test_streamed_state_holds_one_string_per_distinct_token():
+    m = Miner(MinerConfig(sigma=0.5, phi=2))
+    for line in make_mixed_corpus(random.Random(3), 3000):
+        m.process_message(line)
+    held = sum(labels_and_tokens(m), [])
+    distinct = set(held)
+    assert WILDCARD in distinct and len(held) > 2 * len(distinct)
+    assert len({id(t) for t in held}) == len(distinct)
+    assert all(t is WILDCARD for t in held if t == WILDCARD)
+
+
+def test_token_table_does_not_grow_with_merged_lines():
+    m = Miner()
+    m.process_message("user u0 logged in")
+    size = len(m._tokens)
+    for i in range(1, 1000):
+        res = m.process_message(f"user u{i} logged in")
+        assert (res.template_id, res.created_new) == (1, False)
+    assert len(m._tokens) == size
+    assert m.templates() == [(1, "user <*> logged in", 1000)]
 
 
 # -- splitting -------------------------------------------------------------
