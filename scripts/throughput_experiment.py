@@ -14,6 +14,7 @@ import sys
 
 from ustep.evaluation import run_miner, synthetic_stream, write_timing_csv
 from ustep.miner import MinerConfig
+from ustep.tokens import ConfigError
 
 
 def main():
@@ -25,8 +26,14 @@ def main():
     ap.add_argument("--phi", type=int, default=8)
     ap.add_argument("--out", default="timings.csv")
     args = ap.parse_args()
+    for name in ("lines", "templates", "chunk_size"):
+        if getattr(args, name) < 1:
+            ap.error(f"--{name.replace('_', '-')} must be >= 1")
 
-    cfg = MinerConfig(sigma=args.sigma, phi=args.phi)
+    try:
+        cfg = MinerConfig(sigma=args.sigma, phi=args.phi)
+    except ConfigError as exc:
+        ap.error(str(exc))
     report = run_miner(cfg, synthetic_stream(args.lines, args.templates),
                        args.chunk_size, dataset_name="synthetic")[1]
     with open(args.out, "w", newline="") as fh:

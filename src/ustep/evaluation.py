@@ -6,7 +6,7 @@ import statistics
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import cycle, islice
 
 from . import miner as miner_module
 from .miner import Miner, MinerConfig
@@ -173,8 +173,11 @@ def synthetic_stream(n_lines, n_templates, seed=0):
     """`n_lines` lines cycling through a shuffled pool of 5 per template.
 
     Each template has 5-12 tokens, two of them variable (drawn from 40
-    values per line); everything comes from `seed`.
+    values per line); everything comes from `seed`.  Raises ValueError
+    when `n_lines` is negative or `n_templates` below 1.
     """
+    if n_templates < 1:
+        raise ValueError(f"n_templates must be >= 1, got {n_templates}")
     rng = random.Random(seed)
     pool = []
     for k in range(n_templates):
@@ -186,8 +189,7 @@ def synthetic_stream(n_lines, n_templates, seed=0):
             pool.append(" ".join(
                 f"u{rng.randrange(40)}" if t is None else t for t in tokens))
     rng.shuffle(pool)
-    for i in range(n_lines):
-        yield pool[i % len(pool)]
+    return islice(cycle(pool), n_lines)
 
 
 def robustness_stats(values):

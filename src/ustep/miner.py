@@ -226,6 +226,12 @@ class Miner:
         # token a template later widened to the wildcard, so it grows with
         # the templates created, never with the lines merged
         self._tokens = {WILDCARD: WILDCARD}
+        # masked line -> (template, descent steps, sim_f calls, wildcards)
+        # for a line `_match` merged, changing nothing, into the template
+        # whose text it is; `_match` replaces the dict whenever it changes
+        # the tree or a template, and a key is its template's text, so
+        # there is at most one entry per template
+        self._exact = {}
 
     # -- descent and assignment ----------------------------------------
 
@@ -282,9 +288,11 @@ class Miner:
             created = False
         elif best_sim > self.config.sigma \
                 or len(leaf.templates) > self.config.phi:
+            self._exact = {}
             update_template(best, tokens)
             created = False
         else:
+            self._exact = {}
             best = Template(self._next_template_id, list(
                 map(self._tokens.setdefault, tokens, tokens)))
             self._next_template_id += 1
@@ -343,12 +351,33 @@ class Miner:
     def _structure(self, masked):
         """`process_message` of the raw line that the mask rules turned
         into `masked`.  Never pass a line through the rules twice: a rule
-        that matches the empty string inserts another wildcard."""
+        that matches the empty string inserts another wildcard.
+
+        A line that is the text of a template it last merged into, with
+        the tree and templates unchanged since, replays that merge from
+        `_exact` without tokenizing, descending or scoring."""
+        exact = self._exact
+        hit = exact.get(masked)
+        if hit is not None:
+            tpl, steps, evals, wildcards = hit
+            tpl.match_count += 1
+            cost = self.last_cost
+            cost.descent_steps = steps
+            cost.simf_evals = evals
+            cost.pivot_scans = 0
+            self.stats.messages_processed += 1
+            return ParseResult(tpl.id, tpl._text, [WILDCARD] * wildcards,
+                               False)
         tokens = tokenize(masked)
         tpl, created = self._match(tokens)
+        text = tpl.render()
+        if exact is self._exact and masked == text:
+            cost = self.last_cost
+            exact[text] = (tpl, cost.descent_steps, cost.simf_evals,
+                           tokens.count(WILDCARD))
         return ParseResult(
             template_id=tpl.id,
-            template_text=tpl.render(),
+            template_text=text,
             variables=[mt for mt, tt in zip(tokens, tpl.tokens)
                        if tt == WILDCARD],
             created_new=created,

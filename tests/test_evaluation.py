@@ -21,6 +21,7 @@ from ustep.evaluation import (
     robustness_stats,
     run_miner,
     sweep,
+    synthetic_stream,
 )
 from ustep.miner import Miner, MinerConfig
 
@@ -167,6 +168,32 @@ def test_empty_stream():
 def test_bad_chunk_size():
     with pytest.raises(ValueError):
         run_miner(MinerConfig(), ["x"], chunk_size=0)
+
+
+def test_synthetic_stream_needs_a_template():
+    with pytest.raises(ValueError):
+        synthetic_stream(5, 0)
+
+
+@pytest.mark.parametrize("args, error", [
+    (["--lines", "0"], "--lines must be >= 1"),
+    (["--templates", "0"], "--templates must be >= 1"),
+    (["--chunk-size", "0"], "--chunk-size must be >= 1"),
+    (["--phi", "0"], "phi must be >= 1"),
+    (["--sigma", "2"], "sigma must be in [0, 1]"),
+])
+def test_throughput_script_refuses_bad_values(args, error, tmp_path):
+    repo = Path(__file__).resolve().parent.parent
+    out = tmp_path / "timings.csv"
+    proc = subprocess.run(
+        [sys.executable, str(repo / "scripts" / "throughput_experiment.py"),
+         *args, "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": str(repo / "src")},
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert f"error: {error}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("strict", [False, True])

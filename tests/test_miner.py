@@ -528,6 +528,35 @@ def test_last_cost_is_overwritten_by_each_message():
                 cost.pivot_scans) == want
 
 
+def test_an_exact_repeat_skips_match(monkeypatch):
+    m = Miner()
+    calls = []
+    match = m._match
+    monkeypatch.setattr(m, "_match",
+                        lambda tokens: calls.append(tokens) or match(tokens))
+    # (line, whether _match runs): a line is remembered once it merges
+    # into a template whose text it is, and forgotten when any template
+    # is created or widened
+    for line, matched in [("user 1 logged in", True),    # created
+                          ("user 1 logged in", True),    # remembered
+                          ("user 1 logged in", False),
+                          ("user 2 logged in", True),    # widened
+                          ("user 1 logged in", True),    # not its text
+                          ("user 1 logged in", True),
+                          ("user <*> logged in", True),  # remembered
+                          ("user <*> logged in", False),
+                          ("disk full", True),           # created
+                          ("user <*> logged in", True),
+                          ("user <*> logged in", False)]:
+        before = len(calls)
+        res = m.process_message(line)
+        assert (len(calls) > before) == matched, line
+    assert (res.template_id, res.template_text, res.variables,
+            res.created_new) == (1, "user <*> logged in", ["<*>"], False)
+    assert m.templates() == [(1, "user <*> logged in", 10), (2, "disk full", 1)]
+    assert m.stats.messages_processed == 11
+
+
 # -- stats -----------------------------------------------------------------
 
 def test_stats_counters():

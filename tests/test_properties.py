@@ -5,8 +5,8 @@ import hypothesis.strategies as st
 from hypothesis import example, given, settings
 
 from synth import make_mixed_corpus, replace_at
-from ustep.miner import (Miner, MinerConfig, SnapshotError, Template, sim_f,
-                         update_template)
+from ustep.miner import (Miner, MinerConfig, ParseResult, SnapshotError,
+                         Template, sim_f, update_template)
 from ustep.tokens import WILDCARD, compile_rules, preprocess, render, tokenize
 
 token = st.one_of(st.just(WILDCARD),
@@ -252,3 +252,38 @@ def test_work_per_message_is_bounded_for_any_config(lines, sigma, phi,
         cost = miner.last_cost
         assert cost.descent_steps <= length + 1
         assert cost.simf_evals <= phi + 1
+
+
+def _matched(miner, masked):
+    """`Miner._structure` without its exact-line memo: tokenize, `_match`
+    and build the result."""
+    tokens = tokenize(masked)
+    tpl, created = miner._match(tokens)
+    return ParseResult(tpl.id, tpl.render(),
+                       [mt for mt, tt in zip(tokens, tpl.tokens)
+                        if tt == WILDCARD], created)
+
+
+# a stream that repeats a few short lines
+repeating_stream = st.lists(
+    st.lists(st.sampled_from(["a", "b", "7", "42", "<*>"]),
+             min_size=1, max_size=3).map(" ".join),
+    min_size=1, max_size=6).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=20,
+                              max_size=80))
+
+
+@settings(max_examples=200, deadline=None)
+@given(repeating_stream, st.floats(0, 1),
+       st.integers(1, 3), st.booleans(), st.booleans())
+def test_exact_line_memo_replays_match(lines, sigma, phi, strict, masked):
+    config = dict(sigma=sigma, phi=phi, mask_rules=MASKS if masked else [],
+                  strict_wildcard_sim=strict)
+    miner, twin = Miner(MinerConfig(**config)), Miner(MinerConfig(**config))
+    for line in lines:
+        got = miner.process_message(line)
+        assert got == _matched(twin, preprocess(line, twin._rules))
+        assert vars(miner.last_cost) == vars(twin.last_cost)
+        assert vars(miner.stats) == vars(twin.stats)
+        assert len(miner._exact) <= miner.stats.template_count
+    assert miner.snapshot() == twin.snapshot()
