@@ -553,7 +553,8 @@ def test_an_exact_repeat_skips_match(monkeypatch):
         assert (len(calls) > before) == matched, line
     assert (res.template_id, res.template_text, res.variables,
             res.created_new) == (1, "user <*> logged in", ["<*>"], False)
-    assert m.templates() == [(1, "user <*> logged in", 10), (2, "disk full", 1)]
+    assert m.templates() == [(1, "user <*> logged in", 10),
+                             (2, "disk full", 1)]
     assert m.stats.messages_processed == 11
 
 
