@@ -34,9 +34,14 @@ def main():
         cfg = MinerConfig(sigma=args.sigma, phi=args.phi)
     except ConfigError as exc:
         ap.error(str(exc))
-    report = run_miner(cfg, synthetic_stream(args.lines, args.templates),
-                       args.chunk_size, dataset_name="synthetic")[1]
-    with open(args.out, "w", newline="") as fh:
+    # opened before the run, so a path that cannot be written costs no run
+    try:
+        fh = open(args.out, "w", newline="")
+    except OSError as exc:
+        ap.error(f"--out: {exc}")
+    with fh:
+        report = run_miner(cfg, synthetic_stream(args.lines, args.templates),
+                           args.chunk_size, dataset_name="synthetic")[1]
         write_timing_csv(report, fh)
     rate = report.total_messages / report.total_seconds
     print(f"{report.total_messages} messages in {report.total_seconds:.2f}s "

@@ -7,6 +7,7 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import cycle, islice
+from operator import itemgetter
 
 from . import miner as miner_module
 from .miner import Miner, MinerConfig
@@ -222,27 +223,6 @@ def _template_ids(config, messages):
     return [match(tokens)[0].id for tokens in messages]
 
 
-def _grid_template_ids(configs, messages):
-    """Yield (grid index, template ids over `messages`) for every config.
-
-    The configs go highest `sigma` first, then highest `phi`: fewer merges
-    and fuller leaves make those the longest to run, so no worker is left
-    with a long point once the others are done.  With two or more usable
-    CPUs they run in forked workers, which share the token lists with the
-    caller copy-on-write.
-    """
-    order = sorted(range(len(configs)), reverse=True,
-                   key=lambda i: (configs[i].sigma, configs[i].phi))
-    todo = [configs[i] for i in order]
-    jobs = min(len(configs), usable_cpus())
-    if jobs < 2:
-        ids = (_template_ids(cfg, messages) for cfg in todo)
-    else:
-        ids = forked_map(lambda cfg: _template_ids(cfg, messages), todo,
-                         jobs)
-    return zip(order, ids)
-
-
 def sweep(records, grid, mask_rules=(), strict=False):
     """Score every (sigma, phi) pair over a labeled corpus.
 
@@ -271,17 +251,25 @@ def sweep(records, grid, mask_rules=(), strict=False):
     messages = [miner_module.tokenize(miner_module.preprocess(r.content,
                                                               rules))
                 for r in records]
-    accuracy = [None] * len(configs)
-    for i, predicted in _grid_template_ids(configs, messages):
-        accuracy[i] = grouping_accuracy(records, predicted).parsing_accuracy
-    results = []
-    best = None
-    for cfg, pa in zip(configs, accuracy):
-        res = {"sigma": cfg.sigma, "phi": cfg.phi, "parsing_accuracy": pa}
-        results.append(res)
-        if best is None or res["parsing_accuracy"] > best["parsing_accuracy"]:
-            best = res
-    return best, results
+    results = [{"sigma": cfg.sigma, "phi": cfg.phi, "parsing_accuracy": None}
+               for cfg in configs]
+    # highest sigma first, then highest phi: fewer merges and fuller leaves
+    # make those the longest to run, so no worker is left with a long point
+    # once the others are done
+    order = sorted(range(len(configs)), reverse=True,
+                   key=lambda i: (configs[i].sigma, configs[i].phi))
+    todo = [configs[i] for i in order]
+    jobs = min(len(configs), usable_cpus())
+    if jobs < 2:
+        ids = (_template_ids(cfg, messages) for cfg in todo)
+    else:
+        ids = forked_map(lambda cfg: _template_ids(cfg, messages), todo,
+                         jobs)
+    for i, predicted in zip(order, ids):
+        results[i]["parsing_accuracy"] = grouping_accuracy(
+            records, predicted).parsing_accuracy
+    # max keeps the first maximum: a tie goes to the earliest grid entry
+    return max(results, key=itemgetter("parsing_accuracy")), results
 
 
 def write_timing_csv(report, fh):

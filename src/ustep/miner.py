@@ -220,7 +220,6 @@ class Miner:
         self.root = TreeNode()
         self.stats = MinerStats()
         self.last_cost = MessageCost()
-        self._next_template_id = 1
         # the one string of each distinct token in the templates `_match`
         # creates and in the labels it keys their leaves by; it keeps a
         # token a template later widened to the wildcard, so it grows with
@@ -293,11 +292,10 @@ class Miner:
             created = False
         else:
             self._exact = {}
-            best = Template(self._next_template_id, list(
-                map(self._tokens.setdefault, tokens, tokens)))
-            self._next_template_id += 1
-            leaf.templates.append(best)
             stats.template_count += 1
+            best = Template(stats.template_count, list(
+                map(self._tokens.setdefault, tokens, tokens)))
+            leaf.templates.append(best)
             created = True
             if len(leaf.templates) > self.config.phi:
                 scans = self._split(leaf, tokens, steps)
@@ -540,4 +538,3 @@ class Miner:
         stats.messages_processed = total
         stats.splits_performed = splits
         stats.max_depth = depth
-        self._next_template_id = len(seen) + 1

@@ -1,4 +1,6 @@
+import csv
 import gc
+import json
 import multiprocessing
 import os
 import random
@@ -24,6 +26,18 @@ from ustep.evaluation import (
     synthetic_stream,
 )
 from ustep.miner import Miner, MinerConfig
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def _run_script(name, *args, timeout=None):
+    """Run scripts/`name` with the package on its path; returns the
+    CompletedProcess with text output."""
+    return subprocess.run(
+        [sys.executable, str(REPO / "scripts" / name), *args],
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        capture_output=True, text=True, timeout=timeout)
 
 
 def _records(labels):
@@ -183,17 +197,55 @@ def test_synthetic_stream_needs_a_template():
     (["--sigma", "2"], "sigma must be in [0, 1]"),
 ])
 def test_throughput_script_refuses_bad_values(args, error, tmp_path):
-    repo = Path(__file__).resolve().parent.parent
     out = tmp_path / "timings.csv"
-    proc = subprocess.run(
-        [sys.executable, str(repo / "scripts" / "throughput_experiment.py"),
-         *args, "--out", str(out)],
-        env={**os.environ, "PYTHONPATH": str(repo / "src")},
-        capture_output=True, text=True)
+    proc = _run_script("throughput_experiment.py", *args, "--out", str(out))
     assert proc.returncode == 2
     assert f"error: {error}" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+def test_throughput_script_refuses_an_unwritable_out_before_the_run(
+        tmp_path):
+    # a run of this many lines takes minutes, so returning within the
+    # timeout shows that the script refused the path before streaming
+    proc = _run_script("throughput_experiment.py", "--lines", "100000000",
+                       "--out", str(tmp_path / "missing" / "t.csv"),
+                       timeout=60)
+    assert proc.returncode == 2
+    assert "error: --out: " in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_run_loghub_script_reports_each_dataset_found(tmp_path):
+    lines, labels = make_template_corpus(random.Random(7), 6, 8, 120)
+    data = tmp_path / "data"
+    (data / "HDFS").mkdir(parents=True)
+    with open(data / "HDFS" / "HDFS_2k.log_structured.csv", "w",
+              newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["LineId", "Content", "EventId"])
+        writer.writerows([i + 1, line, f"E{g}"]
+                         for i, (line, g) in enumerate(zip(lines, labels)))
+    out = tmp_path / "report.json"
+    proc = _run_script("run_loghub.py", "--data-dir", str(data),
+                       "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert list(report["per_dataset"]) == ["HDFS"]
+    assert set(report["per_dataset"]["HDFS"]) == {"sigma", "phi",
+                                                  "parsing_accuracy"}
+    assert report["robustness"]["values"] == [
+        report["per_dataset"]["HDFS"]["parsing_accuracy"]]
+    assert report["mean_pa"] == report["robustness"]["median"]
+    assert out.read_text() == proc.stdout
+
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    proc = _run_script("run_loghub.py", "--data-dir", str(empty))
+    assert proc.returncode == 1
+    assert "no datasets found" in proc.stderr
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("strict", [False, True])
@@ -322,10 +374,9 @@ def test_empty_values_rejected():
 def test_import_does_not_load_numpy():
     # nor the process pool modules, which only forking sweep and parse
     # runs import
-    src = Path(__file__).resolve().parent.parent / "src"
     subprocess.run(
         [sys.executable, "-c",
          "import ustep, ustep.cli, sys; "
          "assert not {'numpy', 'concurrent.futures', "
          "'multiprocessing'} & set(sys.modules)"],
-        env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")}, check=True)

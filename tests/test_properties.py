@@ -121,6 +121,9 @@ def test_snapshot_replay_equivalence(seed):
     for line in lines[80:]:
         assert a.process_message(line) == b.process_message(line)
         assert b.last_cost.simf_evals <= b.config.phi + 1
+    # the restored counters, template_count the source of new ids among
+    # them, continue exactly like the streamed miner's
+    assert vars(a.stats) == vars(b.stats)
 
 
 def _snapshot_under_test():
