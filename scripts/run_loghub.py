@@ -10,8 +10,10 @@ Usage: python3 scripts/run_loghub.py --data-dir DATA [--out report.json]
 """
 
 import argparse
+import contextlib
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from ustep.evaluation import load_labeled_dataset, robustness_stats, sweep
@@ -30,33 +32,46 @@ def main():
     args = ap.parse_args()
 
     data_dir = Path(args.data_dir)
-    per_dataset = {}
+    found = {}
     for name in DATASETS:
         path = data_dir / name / f"{name}_2k.log_structured.csv"
-        if not path.exists():
+        if path.exists():
+            found[name] = path
+        else:
             print(f"skipping {name}: {path} not found", file=sys.stderr)
-            continue
-        records = load_labeled_dataset(path)
-        masks = MASK_DIR / f"{name}.txt"
-        rules = read_mask_rules(masks) if masks.exists() else []
-        best, _ = sweep(records, GRID, mask_rules=rules)
-        per_dataset[name] = best
-        print(f"{name:12s} PA={best['parsing_accuracy']:.3f} "
-              f"(sigma={best['sigma']}, phi={best['phi']})", file=sys.stderr)
-
-    if not per_dataset:
+    if not found:
         print("no datasets found", file=sys.stderr)
         return 1
-    values = [b["parsing_accuracy"] for b in per_dataset.values()]
-    report = {
-        "per_dataset": per_dataset,
-        "robustness": robustness_stats(values).as_dict(),
-        "mean_pa": sum(values) / len(values),
-    }
-    text = json.dumps(report, indent=2)
-    print(text)
+    # opened before the sweep, so a path that cannot be written costs no sweep
+    out = contextlib.nullcontext()
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        try:
+            out = open(args.out, "w", encoding="utf-8")
+        except OSError as exc:
+            ap.error(f"--out: {exc}")
+
+    with out:
+        per_dataset = {}
+        for name, path in found.items():
+            records = load_labeled_dataset(path)
+            masks = MASK_DIR / f"{name}.txt"
+            rules = read_mask_rules(masks) if masks.exists() else []
+            best, _ = sweep(records, GRID, mask_rules=rules)
+            per_dataset[name] = best
+            print(f"{name:12s} PA={best['parsing_accuracy']:.3f} "
+                  f"(sigma={best['sigma']}, phi={best['phi']})",
+                  file=sys.stderr)
+
+        values = [b["parsing_accuracy"] for b in per_dataset.values()]
+        report = {
+            "per_dataset": per_dataset,
+            "robustness": asdict(robustness_stats(values)),
+            "mean_pa": sum(values) / len(values),
+        }
+        text = json.dumps(report, indent=2)
+        print(text)
+        if args.out:
+            out.write(text + "\n")
     return 0
 
 

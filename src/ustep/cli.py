@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import errno
 import io
 import json
 import os
@@ -85,6 +86,25 @@ def _build_config(args):
                        strict_wildcard_sim=bool(args.strict_sim), **given)
 
 
+def _check_writable(*paths):
+    """Raise the error that opening each given path for writing would
+    raise, without creating or changing a file, so that an output path
+    that cannot be written fails before any input is read, not after the
+    run."""
+    for path in filter(None, paths):
+        parent = os.path.dirname(path) or "."
+        if os.path.isdir(path):
+            code = errno.EISDIR
+        elif not os.path.isdir(parent):
+            code = errno.ENOENT
+        elif not os.access(path if os.path.exists(path) else parent,
+                           os.W_OK):
+            code = errno.EACCES
+        else:
+            continue
+        raise OSError(code, os.strerror(code), path)
+
+
 def _maybe_write_snapshot(miner, args):
     if args.snapshot_out:
         with open(args.snapshot_out, "wb") as fh:
@@ -102,9 +122,11 @@ def _mask_workers(miner, path, reader):
     stdin, and at least 2 CPUs are usable; otherwise none, so that each
     line of a pipe, FIFO or tty is written as soon as it is read.  On 2
     CPUs one worker masks ahead of the calling process, which tokenizes,
-    matches and writes every line, and a second was no faster; without
-    mask rules a worker made `parse` slower.  More CPUs than 2 were not
-    measured, so they get one worker too."""
+    matches and writes every line.  Measured on 2 vCPUs since the
+    exact-line memo, two workers were faster than serial and one was not
+    clearly faster; the worker count is left to the next performance
+    change.  Without mask rules a worker made `parse` slower.  More CPUs than 2
+    were not measured, so they get one worker too."""
     if not miner.config.mask_rules or path == "-" \
             or not stat.S_ISREG(os.fstat(reader.fileno()).st_mode):
         return 0
@@ -129,6 +151,7 @@ def _parse_results(miner, reader, workers):
 def cmd_parse(args):
     """One compact JSON object per input line, written as
     `json.dumps(fields, separators=(",", ":"))` would write it."""
+    _check_writable(args.snapshot_out)
     if args.snapshot_in:
         given = [flag for flag, value in (
             ("--sigma", args.sigma), ("--phi", args.phi),
@@ -161,6 +184,7 @@ def cmd_parse(args):
 
 
 def cmd_bench(args):
+    _check_writable(args.snapshot_out, args.timing_csv)
     records = load_labeled_dataset(args.input)
     cfg = _build_config(args)
     lines = [r.content for r in records]

@@ -50,23 +50,12 @@ class ThroughputReport:
 @dataclass
 class RobustnessReport:
     values: list
-    minimum: float
+    min: float
     q1: float
     median: float
     q3: float
-    maximum: float
+    max: float
     iqr: float
-
-    def as_dict(self):
-        return {
-            "values": self.values,
-            "min": self.minimum,
-            "q1": self.q1,
-            "median": self.median,
-            "q3": self.q3,
-            "max": self.maximum,
-            "iqr": self.iqr,
-        }
 
 
 REQUIRED_COLUMNS = ("LineId", "Content", "EventId")
@@ -208,11 +197,11 @@ def robustness_stats(values):
         q1, med, q3 = statistics.quantiles(vals, n=4, method="inclusive")
     return RobustnessReport(
         values=vals,
-        minimum=min(vals),
+        min=min(vals),
         q1=q1,
         median=med,
         q3=q3,
-        maximum=max(vals),
+        max=max(vals),
         iqr=q3 - q1,
     )
 

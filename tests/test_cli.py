@@ -4,6 +4,7 @@ import io
 import json
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -175,6 +176,31 @@ def test_parse_snapshot_in_refuses_miner_flags(flag, raw_file, tmp_path,
     assert not out_snap.exists()
 
 
+def test_parse_refuses_an_unwritable_snapshot_out_before_reading(
+        raw_file, tmp_path, capsys):
+    snap = tmp_path / "missing" / "state.bin"
+    code, out, err = run_cli(capsys, "parse", "--input", raw_file,
+                             "--snapshot-out", str(snap))
+    assert code == EXIT_IO
+    assert out == ""
+    assert err.startswith("error: ") and str(snap) in err
+    assert len(err.splitlines()) == 1
+
+
+def test_parse_resumes_a_snapshot_in_place(raw_file, tmp_path, capsys):
+    twice = tmp_path / "twice.log"
+    twice.write_text(Path(raw_file).read_text() * 2)
+    one_pass = tmp_path / "one_pass.bin"
+    assert run_cli(capsys, "parse", "--input", str(twice),
+                   "--snapshot-out", str(one_pass))[0] == EXIT_OK
+    snap = tmp_path / "state.bin"
+    assert run_cli(capsys, "parse", "--input", raw_file,
+                   "--snapshot-out", str(snap))[0] == EXIT_OK
+    assert run_cli(capsys, "parse", "--input", raw_file, "--snapshot-in",
+                   str(snap), "--snapshot-out", str(snap))[0] == EXIT_OK
+    assert snap.read_bytes() == one_pass.read_bytes()
+
+
 # -- parse output, pinned ---------------------------------------------------
 
 # tests/data/parse_golden.log holds quotes, backslashes, control characters,
@@ -183,24 +209,19 @@ def test_parse_snapshot_in_refuses_miner_flags(flag, raw_file, tmp_path,
 # --snapshot-out file of `ustep parse --input parse_golden.log` plus the
 # mode's flags.  Rewrite them only for a deliberate format change: files
 # regenerated from the code under test would pin nothing.
+GOLDEN_LOG = DATA / "parse_golden.log"
+GOLDEN_MASKS = str(DATA / "parse_golden.masks")
 GOLDEN_MODES = {
     "default": [],
-    "masks": ["--masks", str(DATA / "parse_golden.masks")],
-    "strict": ["--masks", str(DATA / "parse_golden.masks"), "--strict-sim"],
+    "masks": ["--masks", GOLDEN_MASKS],
+    "strict": ["--masks", GOLDEN_MASKS, "--strict-sim"],
 }
 
 
-@pytest.mark.parametrize("mode", GOLDEN_MODES)
-def test_parse_matches_golden_output(mode, tmp_path, capsys):
-    snap = tmp_path / "state.bin"
-    code, out, _ = run_cli(capsys, "parse", "--input",
-                           str(DATA / "parse_golden.log"),
-                           *GOLDEN_MODES[mode], "--snapshot-out", str(snap))
-    assert code == EXIT_OK
-    assert out.encode("utf-8") == \
-        (DATA / f"parse_golden.{mode}.jsonl").read_bytes()
-    assert snap.read_bytes() == \
-        (DATA / f"parse_golden.{mode}.snap").read_bytes()
+def golden(mode):
+    """(stdout, --snapshot-out) bytes of the one-pass run in `mode`."""
+    return tuple((DATA / f"parse_golden.{mode}.{ext}").read_bytes()
+                 for ext in ("jsonl", "snap"))
 
 
 @pytest.mark.parametrize("mode", GOLDEN_MODES)
@@ -250,10 +271,6 @@ def test_parse_line_is_compact_json_dumps(lines, masked):
 
 # -- parse with mask workers --------------------------------------------------
 
-GOLDEN_LOG = DATA / "parse_golden.log"
-GOLDEN_MASKS = str(DATA / "parse_golden.masks")
-
-
 @pytest.fixture
 def long_log(tmp_path):
     """parse_golden.log 20 times over: 6,381 lines, so three full chunks
@@ -291,21 +308,51 @@ def parse_run(capsys, tmp_path, *argv):
     return code, out.encode("utf-8"), blob
 
 
-@pytest.mark.parametrize("mode", ["masks", "strict"])
-def test_parse_matches_golden_output_serial_and_pipelined(
-        mode, tmp_path, capsys, usable_cpus, chunks_handed_out):
-    want = ((DATA / f"parse_golden.{mode}.jsonl").read_bytes(),
-            (DATA / f"parse_golden.{mode}.snap").read_bytes())
+@pytest.mark.parametrize("mode, cpus, chunks", [
+    ("default", 1, []), ("masks", 1, []), ("strict", 1, []),
+    ("masks", 3, [320]), ("strict", 3, [320])],
+    ids=["default", "masks", "strict", "masks-pipelined", "strict-pipelined"])
+def test_parse_matches_golden_output(mode, cpus, chunks, tmp_path, capsys,
+                                     usable_cpus, chunks_handed_out):
     collector_on = gc.isenabled()
-    for cpus, chunks in ((1, []), (3, [320])):
-        usable_cpus(cpus)
-        code, out, snap = parse_run(capsys, tmp_path, "--input",
-                                    str(GOLDEN_LOG), *GOLDEN_MODES[mode])
-        assert code == EXIT_OK
-        assert (out, snap) == want
-        assert chunks_handed_out == chunks
-        assert multiprocessing.active_children() == []
-        assert gc.isenabled() == collector_on
+    usable_cpus(cpus)
+    code, out, snap = parse_run(capsys, tmp_path, "--input", str(GOLDEN_LOG),
+                                *GOLDEN_MODES[mode])
+    assert code == EXIT_OK
+    assert (out, snap) == golden(mode)
+    assert chunks_handed_out == chunks
+    assert multiprocessing.active_children() == []
+    assert gc.isenabled() == collector_on
+
+
+@pytest.mark.parametrize("mode", GOLDEN_MODES)
+def test_parse_resumed_mid_stream_ends_as_the_one_pass_run(mode, tmp_path,
+                                                           capsys):
+    # split after the 150th "\n", as `head -n 150` does; a lone CR ends a
+    # line too, so the head holds 187 of the 320 lines parse sees
+    lines = GOLDEN_LOG.read_bytes().split(b"\n")
+    head, rest = tmp_path / "head.log", tmp_path / "rest.log"
+    head.write_bytes(b"\n".join(lines[:150]) + b"\n")
+    rest.write_bytes(b"\n".join(lines[150:]))
+    snap, resumed = tmp_path / "head.snap", tmp_path / "resumed.snap"
+    code, out, _ = run_cli(capsys, "parse", "--input", str(head),
+                           *GOLDEN_MODES[mode], "--snapshot-out", str(snap))
+    assert code == EXIT_OK
+    assert out.count("\n") == 187
+    code, out, _ = run_cli(capsys, "parse", "--input", str(rest),
+                           "--snapshot-in", str(snap),
+                           "--snapshot-out", str(resumed))
+    assert code == EXIT_OK
+    want_out, want_snap = golden(mode)
+    assert resumed.read_bytes() == want_snap
+
+    # the resumed run numbers its lines from 1 and starts with an empty
+    # exact-line memo; past line_no it prints what the one-pass run printed
+    def past_line_no(jsonl):
+        return [line.split(b",", 1)[1] for line in jsonl.splitlines()]
+
+    assert past_line_no(out.encode("utf-8")) == \
+        past_line_no(want_out)[187:]
 
 
 @pytest.mark.parametrize("strict", [[], ["--strict-sim"]],
@@ -373,6 +420,7 @@ def test_parse_reports_a_dead_mask_worker(long_log, tmp_path, capfd,
     assert err.startswith("error: a parse worker process died")
     assert len(err.splitlines()) == 1
     assert not snap.exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["long.log"]
     assert multiprocessing.active_children() == []
 
 
@@ -400,15 +448,45 @@ def test_parse_stops_its_mask_workers_when_stdout_closes(
     assert multiprocessing.active_children() == []
 
 
-@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
-                    reason="parse forks a mask worker only where "
-                           "os.sched_getaffinity exists")
+#: a child `ustep` that reports 2 CPUs, so a masked `parse --input FILE`
+#: masks in a worker on any host
+TWO_CPU_MAIN = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
+                "from ustep.cli import main; sys.exit(main(sys.argv[1:]))")
+needs_affinity = pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity"),
+    reason="parse forks a mask worker only where os.sched_getaffinity exists")
+
+
+@needs_affinity
+@pytest.mark.parametrize("mode, stdin", [
+    ("default", True), ("masks", True), ("strict", True),
+    ("masks", False), ("strict", False)],
+    ids=["default-stdin", "masks-stdin", "strict-stdin", "masks-input",
+         "strict-input"])
+def test_parse_in_dev_mode_with_warnings_as_errors_prints_one_stderr_line(
+        mode, stdin, tmp_path):
+    # a warning raised where it cannot propagate, such as a ResourceWarning
+    # for an unclosed file, exits 0 and shows only as more stderr
+    snap = tmp_path / "out.snap"
+    argv = [*GOLDEN_MODES[mode], "--snapshot-out", str(snap)]
+    if not stdin:
+        argv = ["--input", str(GOLDEN_LOG), *argv]
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-c", TWO_CPU_MAIN,
+         "parse", *argv],
+        input=GOLDEN_LOG.read_bytes() if stdin else b"",
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True,
+        timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert (proc.stdout, snap.read_bytes()) == golden(mode)
+    assert re.fullmatch(rb"parsed 320 messages \| \d+ templates \| \d+ nodes"
+                        rb" \| \d+\.\d{3}s\n", proc.stderr), proc.stderr
+
+
+@needs_affinity
 def test_ctrl_c_gives_one_traceback_from_a_pipelined_parse(long_log):
-    # a child that reports 2 CPUs, so it masks in a worker on any host
-    code = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
-            "from ustep.cli import main; sys.exit(main(sys.argv[1:]))")
     proc = subprocess.Popen(
-        [sys.executable, "-c", code, "parse", "--input", long_log,
+        [sys.executable, "-c", TWO_CPU_MAIN, "parse", "--input", long_log,
          "--masks", GOLDEN_MASKS],
         env={**os.environ, "PYTHONPATH": str(SRC)}, stdout=subprocess.PIPE,
         stderr=subprocess.PIPE, start_new_session=True)
@@ -441,6 +519,22 @@ def test_bench_reports(labeled_file, capsys, tmp_path):
     assert rows[0] == "chunk_index,messages,seconds,cumulative_seconds"
     assert len(rows) == 4
     assert rows[3].split(",")[1] == "2"
+
+
+@pytest.mark.parametrize("flag", ["--snapshot-out", "--timing-csv"])
+def test_bench_refuses_an_unwritable_output_before_the_run(
+        flag, labeled_file, tmp_path, capsys, monkeypatch):
+    def run_miner(*args, **kwargs):
+        pytest.fail("bench ran the miner before checking its outputs")
+
+    monkeypatch.setattr(cli, "run_miner", run_miner)
+    path = tmp_path / "missing" / "out"
+    code, out, err = run_cli(capsys, "bench", "--input", labeled_file,
+                             flag, str(path))
+    assert code == EXIT_IO
+    assert out == ""
+    assert err.startswith("error: ") and str(path) in err
+    assert len(err.splitlines()) == 1
 
 
 def test_bench_csv_format(labeled_file, capsys):

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import warnings
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -240,6 +241,15 @@ def test_run_loghub_script_reports_each_dataset_found(tmp_path):
     assert report["mean_pa"] == report["robustness"]["median"]
     assert out.read_text() == proc.stdout
 
+    # refused before the sweep: exit 2, no traceback, no report
+    proc = _run_script("run_loghub.py", "--data-dir", str(data),
+                       "--out", str(tmp_path / "missing" / "report.json"))
+    assert proc.returncode == 2
+    assert "error: --out: " in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "PA=" not in proc.stderr
+    assert proc.stdout == ""
+
     empty = tmp_path / "empty"
     empty.mkdir()
     proc = _run_script("run_loghub.py", "--data-dir", str(empty))
@@ -323,7 +333,7 @@ def test_sweep_rejects_an_empty_grid():
 
 def test_robustness_as_dict_keys_in_report_order():
     rep = robustness_stats([0.8, 0.2, 1.0, 0.5, 0.4, 0.7])
-    assert list(rep.as_dict().items()) == [
+    assert list(asdict(rep).items()) == [
         ("values", rep.values), ("min", 0.2), ("q1", rep.q1),
         ("median", rep.median), ("q3", rep.q3), ("max", 1.0),
         ("iqr", rep.iqr)]
@@ -331,7 +341,7 @@ def test_robustness_as_dict_keys_in_report_order():
 
 def test_singleton_stats():
     rep = robustness_stats([1.0])
-    assert (rep.minimum, rep.q1, rep.median, rep.q3, rep.maximum) == \
+    assert (rep.min, rep.q1, rep.median, rep.q3, rep.max) == \
         (1.0, 1.0, 1.0, 1.0, 1.0)
     assert rep.iqr == 0.0
 
@@ -355,7 +365,7 @@ def test_inclusive_linear_quartiles(values, quartiles):
     rep = robustness_stats(values)
     assert (rep.q1, rep.median, rep.q3) == pytest.approx(quartiles)
     assert rep.iqr == pytest.approx(quartiles[2] - quartiles[0])
-    assert (rep.minimum, rep.maximum) == (min(values), max(values))
+    assert (rep.min, rep.max) == (min(values), max(values))
 
 
 def test_published_benchmark_mean():
