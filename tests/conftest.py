@@ -12,9 +12,9 @@ sys.path.insert(0, os.path.dirname(__file__))
 def usable_cpus(monkeypatch):
     """Set how many CPUs `os.sched_getaffinity` reports, and so whether
     `sweep` runs serially (1) or forks up to that many workers, and
-    whether masked `parse --input FILE` runs serially (1) or forks one
-    mask worker (2 or more).  Asking for more than one skips the test where the
-    call does not exist, since nothing forks there."""
+    whether masked `parse --input FILE` runs serially (1) or forks two
+    mask workers (2 or more).  Asking for more than one skips the test
+    where the call does not exist, since nothing forks there."""
     def report(n):
         if n > 1 and not hasattr(os, "sched_getaffinity"):
             pytest.skip("sweep and parse fork workers only where "

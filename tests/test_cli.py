@@ -201,6 +201,23 @@ def test_parse_resumes_a_snapshot_in_place(raw_file, tmp_path, capsys):
     assert snap.read_bytes() == one_pass.read_bytes()
 
 
+def test_parse_interrupted_while_snapshotting_keeps_the_old_snapshot(
+        raw_file, tmp_path, capsys, monkeypatch):
+    snap = tmp_path / "state.bin"
+    assert run_cli(capsys, "parse", "--input", raw_file,
+                   "--snapshot-out", str(snap))[0] == EXIT_OK
+    before = snap.read_bytes()
+
+    def interrupted(miner):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(Miner, "snapshot", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["parse", "--input", raw_file, "--snapshot-in", str(snap),
+              "--snapshot-out", str(snap)])
+    assert snap.read_bytes() == before
+
+
 # -- parse output, pinned ---------------------------------------------------
 
 # tests/data/parse_golden.log holds quotes, backslashes, control characters,
@@ -273,8 +290,8 @@ def test_parse_line_is_compact_json_dumps(lines, masked):
 
 @pytest.fixture
 def long_log(tmp_path):
-    """parse_golden.log 20 times over: 6,381 lines, so three full chunks
-    and a partial one, each holding undecodable bytes, CRLF and lone CR."""
+    """parse_golden.log 20 times over: 6,381 lines, so six full chunks and
+    a partial one, each holding undecodable bytes, CRLF and lone CR."""
     path = tmp_path / "long.log"
     path.write_bytes(GOLDEN_LOG.read_bytes() * 20)
     return str(path)
@@ -283,7 +300,7 @@ def long_log(tmp_path):
 @pytest.fixture
 def chunks_handed_out(monkeypatch):
     """A list that grows by one each time `parse` hands a chunk of lines
-    to its mask worker."""
+    to its mask workers."""
     handed = []
     forked_map = cli.forked_map
 
@@ -373,14 +390,14 @@ def test_parse_pipelined_output_is_the_serial_output(
     assert chunks_handed_out == []
     usable_cpus(3)
     assert parse_run(capsys, tmp_path, *argv) == serial
-    assert chunks_handed_out == [2000, 2000, 2000, 381]
+    assert chunks_handed_out == [1000] * 6 + [381]
     assert serial[0] == EXIT_OK
     assert serial[1].count(b"\n") == 6381
 
 
-def test_parse_hands_out_at_most_two_chunks_to_its_one_worker_ahead(
+def test_parse_hands_out_at_most_two_chunks_per_worker_ahead(
         long_log, monkeypatch, usable_cpus, chunks_handed_out):
-    usable_cpus(4)                  # still one mask worker
+    usable_cpus(4)                  # still two mask workers
     monkeypatch.setattr(cli, "CHUNK_LINES", 100)
     ahead = []
 
@@ -397,7 +414,7 @@ def test_parse_hands_out_at_most_two_chunks_to_its_one_worker_ahead(
     assert main(["parse", "--input", long_log, "--masks",
                  GOLDEN_MASKS]) == EXIT_OK
     assert len(ahead) == 6381
-    assert max(ahead) == 2 * 1
+    assert max(ahead) == 2 * 2
 
 
 def test_parse_stdin_stays_serial(monkeypatch, capsys, dying_workers):
@@ -408,6 +425,28 @@ def test_parse_stdin_stays_serial(monkeypatch, capsys, dying_workers):
     assert code == EXIT_OK
     assert out.encode("utf-8") == \
         (DATA / "parse_golden.masks.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("source, rules, cpus, want", [
+    ("file", True, 1, 0), ("file", True, 2, 2), ("file", True, 3, 2),
+    ("file", True, 8, 2), ("file", False, 8, 0), ("stdin", True, 8, 0),
+    ("fifo", True, 8, 0)],
+    ids=["1-cpu", "2-cpus", "3-cpus", "8-cpus", "no-mask-rules", "stdin",
+         "fifo"])
+def test_mask_workers(source, rules, cpus, want, raw_file, tmp_path,
+                      monkeypatch):
+    monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
+    miner = Miner(MinerConfig(mask_rules=[r"\d+"] if rules else []))
+    path, flags = raw_file, os.O_RDONLY
+    if source == "fifo":
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("no FIFOs on this platform")
+        path = str(tmp_path / "fifo")
+        os.mkfifo(path)
+        flags |= os.O_NONBLOCK      # else opening waits for a writer
+    with open(os.open(path, flags), "rb") as reader:
+        given = "-" if source == "stdin" else path
+        assert cli._mask_workers(miner, given, reader) == want
 
 
 def test_parse_reports_a_dead_mask_worker(long_log, tmp_path, capfd,
@@ -449,7 +488,7 @@ def test_parse_stops_its_mask_workers_when_stdout_closes(
 
 
 #: a child `ustep` that reports 2 CPUs, so a masked `parse --input FILE`
-#: masks in a worker on any host
+#: masks in two workers on any host
 TWO_CPU_MAIN = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
                 "from ustep.cli import main; sys.exit(main(sys.argv[1:]))")
 needs_affinity = pytest.mark.skipif(
@@ -490,17 +529,19 @@ def test_ctrl_c_gives_one_traceback_from_a_pipelined_parse(long_log):
          "--masks", GOLDEN_MASKS],
         env={**os.environ, "PYTHONPATH": str(SRC)}, stdout=subprocess.PIPE,
         stderr=subprocess.PIPE, start_new_session=True)
-    # a line out means a chunk came back from the worker; the child then
+    # a line out means a chunk came back from a worker; the child then
     # blocks on the full pipe, so it is still running when interrupted,
-    # and the worker soon waits idle for the next chunk (a worker stopped
-    # in the middle of a chunk would hand the interrupt back quietly)
+    # and both workers soon wait idle for more chunks, once they have
+    # masked the few handed out ahead (a worker stopped in the middle of a
+    # chunk would hand the interrupt back quietly)
     assert proc.stdout.readline().startswith(b'{"line_no":1,')
     time.sleep(0.5)
     os.killpg(proc.pid, signal.SIGINT)      # as Ctrl-C signals a terminal
     _, err = proc.communicate(timeout=60)
-    assert proc.returncode == -signal.SIGINT
-    assert err.count(b"Traceback") == 1
-    assert err.rstrip().endswith(b"KeyboardInterrupt")
+    why = f"exit {proc.returncode}, stderr:\n{err.decode(errors='replace')}"
+    assert proc.returncode == -signal.SIGINT, why
+    assert err.count(b"Traceback") == 1, why
+    assert err.rstrip().endswith(b"KeyboardInterrupt"), why
 
 
 # -- bench -----------------------------------------------------------------

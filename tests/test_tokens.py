@@ -1,4 +1,9 @@
+import re
+from pathlib import Path
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from ustep.tokens import (
     WILDCARD,
@@ -64,6 +69,43 @@ def test_read_mask_rules_skips_blanks_and_comments(tmp_path):
                     "[0-9]+\n")
     assert read_mask_rules(path) == [r"blk_-?[0-9]+", r"(\d+\.){3}\d+",
                                      "a#b", "[0-9]+"]
+
+
+MASK_DIR = Path(__file__).resolve().parent.parent / "scripts" / "masks"
+
+#: each rule of scripts/masks/ written in its unrolled form, beside the
+#: grouped form it replaced; the unrolled form masks a line in less time
+UNROLLED_RULES = {
+    "Apache": (r"(\d+\.){3}\d+", r"\d+\.\d+\.\d+\.\d+"),
+    "Hadoop": (r"(\d+\.){3}\d+", r"\d+\.\d+\.\d+\.\d+"),
+    "OpenSSH": (r"(\d+\.){3}\d+", r"\d+\.\d+\.\d+\.\d+"),
+    "HDFS": (r"(\d+\.){3}\d+(:\d+)?", r"\d+\.\d+\.\d+\.\d+(:\d+)?"),
+    "OpenStack": (r"((\d+\.){3}\d+,?)+", r"(\d+\.\d+\.\d+\.\d+,?)+"),
+    "Zookeeper": (r"(/|)(\d+\.){3}\d+(:\d+)?",
+                  r"/?\d+\.\d+\.\d+\.\d+(:\d+)?"),
+}
+
+
+@pytest.mark.parametrize("name", UNROLLED_RULES)
+def test_shipped_mask_rules_are_the_unrolled_forms(name):
+    old, new = UNROLLED_RULES[name]
+    rules = read_mask_rules(MASK_DIR / f"{name}.txt")
+    assert new in rules and old not in rules
+
+
+# strings over "0-9 . : , / a" and space, built from dotted digit runs so
+# that dotted quads, ports and comma lists are common
+dotted_digits = st.lists(st.text("0123456789", min_size=1, max_size=3),
+                         min_size=1, max_size=5).map(".".join)
+ip_like_line = st.lists(st.one_of(dotted_digits, st.sampled_from(".:,/ a")),
+                        max_size=12).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(ip_like_line)
+def test_unrolled_mask_rules_mask_as_the_grouped_forms(line):
+    for old, new in set(UNROLLED_RULES.values()):
+        assert re.sub(new, WILDCARD, line) == re.sub(old, WILDCARD, line)
 
 
 def test_tokenize_whitespace_split():
