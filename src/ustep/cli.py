@@ -2,17 +2,16 @@
 
 import argparse
 import csv
-import errno
 import io
 import json
 import os
+import re
 import stat
 import sys
+import tempfile
 import time
 from contextlib import closing, contextmanager
 from dataclasses import asdict
-from functools import partial
-from itertools import islice
 from json.encoder import encode_basestring_ascii
 
 from .evaluation import (
@@ -24,15 +23,16 @@ from .evaluation import (
 )
 from .miner import Miner, MinerConfig, SnapshotError
 from .tokens import preprocess, read_mask_rules
-from .workers import forked_map, usable_cpus
+from .workers import broken_pool, forked_map, usable_cpus
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_SNAPSHOT = 3
 
-#: input lines a `parse` mask worker takes at a time; 2,000 with two
-#: workers raised the calling process's peak RSS, 1,000 lowers it
+#: raw lines, each ended by b"\n", in a chunk that a `parse` mask worker
+#: reads and masks at a time; 2,000 with two workers raised the calling
+#: process's peak RSS, 1,000 lowers it
 CHUNK_LINES = 1000
 
 
@@ -87,34 +87,34 @@ def _build_config(args):
                        strict_wildcard_sim=bool(args.strict_sim), **given)
 
 
-def _check_writable(*paths):
-    """Raise the error that opening each given path for writing would
-    raise, without creating or changing a file, so that an output path
-    that cannot be written fails before any input is read, not after the
-    run."""
-    for path in filter(None, paths):
-        parent = os.path.dirname(path) or "."
-        if os.path.isdir(path):
-            code = errno.EISDIR
-        elif not os.path.isdir(parent):
-            code = errno.ENOENT
-        elif not os.access(path if os.path.exists(path) else parent,
-                           os.W_OK):
-            code = errno.EACCES
-        else:
-            continue
-        raise OSError(code, os.strerror(code), path)
+@contextmanager
+def _replacing(path, mode="wb", **kwargs):
+    """A new file, open in `mode`, that replaces `path` once the block ends
+    normally; None if no path is given.
 
-
-def _maybe_write_snapshot(miner, args):
-    """Write the miner's snapshot to --snapshot-out, if given.  The bytes
-    are built before the file is opened, so a failure or interrupt while
-    building them leaves the old file whole; `parse --snapshot-in s
-    --snapshot-out s` keeps its resume state."""
-    if args.snapshot_out:
-        blob = miner.snapshot()
-        with open(args.snapshot_out, "wb") as fh:
-            fh.write(blob)
+    The file is created at once, in `path`'s directory, so an output that
+    cannot be written fails before any input is read.  On every other exit
+    it is removed and `path` is left as it was: an error, Ctrl-C, a dead
+    worker or a full disk never cut the old file short, so `parse
+    --snapshot-in s --snapshot-out s` keeps its resume state."""
+    if path is None:
+        yield None
+        return
+    try:
+        fd, temp = tempfile.mkstemp(prefix=f".{os.path.basename(path)}.",
+                                    dir=os.path.dirname(path) or ".")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)   # the mode `open` creates a file with
+        with open(fd, mode, **kwargs) as fh:
+            yield fh
+        os.replace(temp, path)
+    except BaseException:
+        os.unlink(temp)
+        raise
 
 
 def _mask_lines(rules, lines):
@@ -127,62 +127,119 @@ def _mask_workers(miner, path, reader):
     miner has mask rules, the input is a regular file given by path, not
     stdin, and at least 2 CPUs are usable; otherwise none, so that each
     line of a pipe, FIFO or tty is written as soon as it is read.  The
-    workers mask chunks of lines ahead of the calling process, which
-    tokenizes, matches and writes every line.  On 2 vCPUs masking costs a
-    worker about twice the CPU time per line that the calling process
-    spends, so one worker left a CPU partly idle and two keep both busy.
-    More CPUs than 2 were not measured, so they get two workers too.
-    Without mask rules a worker made `parse` slower."""
+    workers read chunks of lines from `reader`'s file and mask them ahead
+    of the calling process, which tokenizes, matches and writes every
+    line.  On 2 vCPUs masking costs a worker about twice the CPU time per
+    line that the calling process spends, so one worker left a CPU partly
+    idle and two keep both busy.  More CPUs than 2 were not measured, so
+    they get two workers too.  Without mask rules a worker made `parse`
+    slower."""
     if not miner.config.mask_rules or path == "-" \
             or not stat.S_ISREG(os.fstat(reader.fileno()).st_mode):
         return 0
     return 2 if usable_cpus() >= 2 else 0
 
 
+class _ChunkMasker:
+    """In a `parse` mask worker, the masked lines of chunk `index` of the
+    file open at `fd`, and whether that chunk is full.
+
+    A chunk is CHUNK_LINES raw lines, each ended by b"\\n", so a worker
+    finds where a chunk ends without decoding it, and skips the chunks the
+    other workers take.  It reads with `os.pread` from its own offset, not
+    the descriptor's, so the workers share the one descriptor the caller
+    opened.  Each chunk is decoded as `_open_input` decodes a whole file:
+    a line end never falls inside a UTF-8 sequence, and a CR that ends a
+    chunk's last line is part of its CRLF.  A worker's indices rise, as
+    all workers take them in turn from one pipe."""
+
+    def __init__(self, rules, fd):
+        self.rules = rules
+        self.fd = fd
+        self.chunk = re.compile(rb"(?:[^\n]*\n){%d}" % CHUNK_LINES)
+        self.index = 0              # the chunk that starts the buffer
+        self.offset = 0             # the file offset where that chunk starts
+        self.buffer = bytearray()
+
+    def _end(self):
+        """Where the chunk at the start of the buffer ends, reading more
+        of the file as needed, and whether that chunk is full."""
+        while not (full := self.chunk.match(self.buffer)):
+            # read as much again as is held, so a chunk of long lines is
+            # scanned a few times, not once per read
+            more = os.pread(self.fd, max(1 << 20, len(self.buffer)),
+                            self.offset + len(self.buffer))
+            if not more:
+                return len(self.buffer), False
+            self.buffer += more
+        return full.end(), True
+
+    def _drop(self, end):
+        del self.buffer[:end]
+        self.offset += end
+        self.index += 1
+
+    def __call__(self, index):
+        end, full = self._end()
+        while self.index < index and full:
+            self._drop(end)
+            end, full = self._end()
+        if self.index < index:      # the input ended before this chunk
+            return [], False
+        chunk = io.BytesIO(self.buffer[:end])
+        self._drop(end)
+        reader = io.TextIOWrapper(chunk, encoding="utf-8", errors="replace")
+        return _mask_lines(self.rules, reader), full
+
+
 def _parse_results(miner, reader, workers):
     """`miner`'s result for each line of `reader`, in input order.  With
-    workers, forked processes mask chunks of lines ahead of the miner,
-    which structures each masked line as `process_message` would."""
+    workers, forked processes read and mask chunks of lines ahead of the
+    miner, which structures each masked line as `process_message` would.
+    The first chunk that is not full ends the input, so a file that grows
+    during the run still gives a whole prefix of it."""
     if not workers:
         for line in reader:
             yield miner.process_message(line.rstrip("\r\n"))
         return
-    chunks = iter(lambda: list(islice(reader, CHUNK_LINES)), [])
-    with closing(forked_map(partial(_mask_lines, miner._rules), chunks,
-                            workers)) as masked:
-        for chunk in masked:
-            yield from map(miner._structure, chunk)
+    masker = _ChunkMasker(miner._rules, reader.fileno())
+    with closing(forked_map(masker, range(sys.maxsize), workers)) as chunks:
+        for masked, full in chunks:
+            yield from map(miner._structure, masked)
+            if not full:
+                return
 
 
 def cmd_parse(args):
     """One compact JSON object per input line, written as
     `json.dumps(fields, separators=(",", ":"))` would write it."""
-    _check_writable(args.snapshot_out)
-    if args.snapshot_in:
-        given = [flag for flag, value in (
-            ("--sigma", args.sigma), ("--phi", args.phi),
-            ("--strict-sim", args.strict_sim), ("--masks", args.masks))
-            if value is not None]
-        if given:
-            raise ValueError("--snapshot-in takes the whole config from the "
-                             f"snapshot; drop {', '.join(given)}")
-        with open(args.snapshot_in, "rb") as fh:
-            miner = Miner.restore(fh.read())
-    else:
-        miner = Miner(_build_config(args))
-    quote = encode_basestring_ascii
-    write = sys.stdout.write
-    start = time.perf_counter()
-    n = 0
-    with _open_input(args.input) as fh, closing(_parse_results(
-            miner, fh, _mask_workers(miner, args.input, fh))) as results:
-        for n, result in enumerate(results, 1):
-            write(f'{{"line_no":{n},"template_id":{result.template_id},'
-                  f'"template":{quote(result.template_text)},'
-                  f'"variables":[{",".join(map(quote, result.variables))}],'
-                  f'"created_new":{"true" if result.created_new else "false"}'
-                  '}\n')
-    _maybe_write_snapshot(miner, args)
+    with _replacing(args.snapshot_out) as snapshot_out:
+        if args.snapshot_in:
+            given = [flag for flag, value in (
+                ("--sigma", args.sigma), ("--phi", args.phi),
+                ("--strict-sim", args.strict_sim), ("--masks", args.masks))
+                if value is not None]
+            if given:
+                raise ValueError("--snapshot-in takes the whole config from "
+                                 f"the snapshot; drop {', '.join(given)}")
+            with open(args.snapshot_in, "rb") as fh:
+                miner = Miner.restore(fh.read())
+        else:
+            miner = Miner(_build_config(args))
+        quote = encode_basestring_ascii
+        write = sys.stdout.write
+        start = time.perf_counter()
+        n = 0
+        with _open_input(args.input) as fh, closing(_parse_results(
+                miner, fh, _mask_workers(miner, args.input, fh))) as results:
+            for n, result in enumerate(results, 1):
+                write(f'{{"line_no":{n},"template_id":{result.template_id},'
+                      f'"template":{quote(result.template_text)},"variables":'
+                      f'[{",".join(map(quote, result.variables))}],'
+                      '"created_new":'
+                      f'{"true" if result.created_new else "false"}}}\n')
+        if snapshot_out:
+            snapshot_out.write(miner.snapshot())
     elapsed = time.perf_counter() - start
     print(f"parsed {n} messages | {miner.stats.template_count} templates | "
           f"{miner.stats.node_count} nodes | {elapsed:.3f}s", file=sys.stderr)
@@ -190,17 +247,20 @@ def cmd_parse(args):
 
 
 def cmd_bench(args):
-    _check_writable(args.snapshot_out, args.timing_csv)
-    records = load_labeled_dataset(args.input)
-    cfg = _build_config(args)
-    lines = [r.content for r in records]
-    predicted, timing, miner = run_miner(cfg, lines, args.chunk_size,
-                                         dataset_name=args.input)
-    grouping = grouping_accuracy(records, predicted, dataset_name=args.input)
-    _maybe_write_snapshot(miner, args)
-    if args.timing_csv:
-        with open(args.timing_csv, "w", newline="", encoding="utf-8") as fh:
-            write_timing_csv(timing, fh)
+    with _replacing(args.snapshot_out) as snapshot_out, \
+            _replacing(args.timing_csv, "w", newline="",
+                       encoding="utf-8") as timing_csv:
+        records = load_labeled_dataset(args.input)
+        cfg = _build_config(args)
+        lines = [r.content for r in records]
+        predicted, timing, miner = run_miner(cfg, lines, args.chunk_size,
+                                             dataset_name=args.input)
+        grouping = grouping_accuracy(records, predicted,
+                                     dataset_name=args.input)
+        if snapshot_out:
+            snapshot_out.write(miner.snapshot())
+        if timing_csv:
+            write_timing_csv(timing, timing_csv)
     if args.format == "csv":
         write_timing_csv(timing, sys.stdout)
         print(f"parsing_accuracy={grouping.parsing_accuracy:.6f}",
@@ -293,12 +353,6 @@ def build_parser():
     return parser
 
 
-def _broken_pool():
-    """`BrokenProcessPool`, imported only once an exception needs it."""
-    from concurrent.futures.process import BrokenProcessPool
-    return BrokenProcessPool
-
-
 def main(argv=None):
     parser = build_parser()
     try:
@@ -316,7 +370,7 @@ def main(argv=None):
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except _broken_pool() as exc:
+    except broken_pool() as exc:
         print(f"error: a {args.command} worker process died: {exc}",
               file=sys.stderr)
         return EXIT_IO

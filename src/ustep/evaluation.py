@@ -12,7 +12,6 @@ from operator import itemgetter
 from . import miner as miner_module
 from .miner import Miner, MinerConfig
 from .tokens import compile_rules
-from .workers import forked_map, usable_cpus
 
 
 class DatasetFormatError(ValueError):
@@ -248,6 +247,8 @@ def sweep(records, grid, mask_rules=(), strict=False):
     order = sorted(range(len(configs)), reverse=True,
                    key=lambda i: (configs[i].sigma, configs[i].phi))
     todo = [configs[i] for i in order]
+    # imported here, so that `import ustep` does not load the fork pool
+    from .workers import forked_map, usable_cpus
     jobs = min(len(configs), usable_cpus())
     if jobs < 2:
         ids = (_template_ids(cfg, messages) for cfg in todo)

@@ -39,3 +39,17 @@ def dying_workers(usable_cpus, monkeypatch):
 
     monkeypatch.setattr(evaluation, "_template_ids", die)
     monkeypatch.setattr(cli, "_mask_lines", die)
+
+
+@pytest.fixture
+def no_child_left():
+    """A check that this process has no child left, running or not yet
+    reaped.  `multiprocessing.active_children()` lists only the children
+    that `multiprocessing` started, so it cannot see a raw `os.fork`."""
+    def check():
+        try:
+            left = os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            return
+        raise AssertionError(f"a child process is left: waitpid gave {left}")
+    return check

@@ -1,8 +1,8 @@
 import csv
+import errno
 import gc
 import io
 import json
-import multiprocessing
 import os
 import re
 import signal
@@ -10,7 +10,7 @@ import subprocess
 import sys
 import tempfile
 import time
-from contextlib import redirect_stdout
+from contextlib import closing, contextmanager, redirect_stdout
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -218,6 +218,53 @@ def test_parse_interrupted_while_snapshotting_keeps_the_old_snapshot(
     assert snap.read_bytes() == before
 
 
+#: a child `ustep` that may write no file past 64 bytes, as on a disk that
+#: fills up: a longer write fails with EFBIG
+SMALL_FILES_MAIN = (
+    "import resource, sys; "
+    "resource.setrlimit(resource.RLIMIT_FSIZE, (64, 64)); "
+    "from ustep.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
+@pytest.mark.parametrize("argv", [
+    ["parse", "--input", "raw.log", "--snapshot-out"],
+    ["bench", "--input", "labeled.csv", "--snapshot-out"],
+    ["bench", "--input", "labeled.csv", "--chunk-size", "4", "--timing-csv"]],
+    ids=["parse-snapshot", "bench-snapshot", "bench-timing-csv"])
+def test_a_failed_write_leaves_the_old_output_whole(argv, raw_file,
+                                                    labeled_file, tmp_path):
+    pytest.importorskip("resource")
+    target = tmp_path / "out"
+    target.write_bytes(b"the old output\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", SMALL_FILES_MAIN, *argv, str(target)],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, timeout=120)
+    assert proc.returncode == EXIT_IO, proc.stderr
+    assert proc.stderr.startswith(
+        f"error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}".encode())
+    assert target.read_bytes() == b"the old output\n"
+    assert {p.name for p in tmp_path.iterdir()} == \
+        {"raw.log", "labeled.csv", "out"}
+
+
+def test_bench_interrupted_while_writing_keeps_the_old_timing_csv(
+        labeled_file, tmp_path, monkeypatch):
+    timing = tmp_path / "timing.csv"
+    timing.write_bytes(b"the old output\n")
+
+    def interrupted(report, fh):
+        fh.write("chunk_index,messages")
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "write_timing_csv", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["bench", "--input", labeled_file, "--timing-csv", str(timing)])
+    assert timing.read_bytes() == b"the old output\n"
+    assert {p.name for p in tmp_path.iterdir()} == {"labeled.csv",
+                                                    "timing.csv"}
+
+
 # -- parse output, pinned ---------------------------------------------------
 
 # tests/data/parse_golden.log holds quotes, backslashes, control characters,
@@ -288,31 +335,59 @@ def test_parse_line_is_compact_json_dumps(lines, masked):
 
 # -- parse with mask workers --------------------------------------------------
 
+#: lines `parse` reads in each chunk of `long_log`
+CHUNKS_OF_LONG_LOG = [1247, 1246, 1246, 1246, 1246, 150]
+
+
 @pytest.fixture
 def long_log(tmp_path):
-    """parse_golden.log 20 times over: 6,381 lines, so six full chunks and
-    a partial one, each holding undecodable bytes, CRLF and lone CR."""
+    """parse_golden.log 20 times over: 5,120 raw lines ended by "\\n", so
+    five full chunks and a partial one, each holding undecodable bytes,
+    CRLF and lone CR.  A lone CR ends a line too, so `parse` reads 6,381
+    lines, split among the chunks as in CHUNKS_OF_LONG_LOG."""
     path = tmp_path / "long.log"
     path.write_bytes(GOLDEN_LOG.read_bytes() * 20)
     return str(path)
 
 
+class ChunkLog:
+    """What a pipelined `parse` did with its chunks: `masked` grows by the
+    number of masked lines in each chunk `parse` receives, in order, and
+    `started()` reads the index of each chunk a mask worker began on."""
+
+    def __init__(self, path):
+        self.path = path
+        self.masked = []
+
+    def started(self):
+        return [int(i) for i in self.path.read_bytes().split()] \
+            if self.path.exists() else []
+
+
 @pytest.fixture
-def chunks_handed_out(monkeypatch):
-    """A list that grows by one each time `parse` hands a chunk of lines
-    to its mask workers."""
-    handed = []
+def chunk_log(monkeypatch, tmp_path_factory):
+    """A ChunkLog of every pipelined `parse` in the test.  Each worker
+    notes a chunk index in one write to a file opened for appending, so
+    notes from two workers never mix."""
+    log = ChunkLog(tmp_path_factory.mktemp("chunks") / "started")
     forked_map = cli.forked_map
 
-    def counted(fn, chunks, workers):
-        def each():
-            for chunk in chunks:
-                handed.append(len(chunk))
-                yield chunk
-        return forked_map(fn, each(), workers)
+    def logged(fn, items, workers):
+        def started(index):
+            fd = os.open(log.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+            try:
+                os.write(fd, b"%d\n" % index)
+            finally:
+                os.close(fd)
+            return fn(index)
 
-    monkeypatch.setattr(cli, "forked_map", counted)
-    return handed
+        with closing(forked_map(started, items, workers)) as chunks:
+            for masked, full in chunks:
+                log.masked.append(len(masked))
+                yield masked, full
+
+    monkeypatch.setattr(cli, "forked_map", logged)
+    return log
 
 
 def parse_run(capsys, tmp_path, *argv):
@@ -330,15 +405,15 @@ def parse_run(capsys, tmp_path, *argv):
     ("masks", 3, [320]), ("strict", 3, [320])],
     ids=["default", "masks", "strict", "masks-pipelined", "strict-pipelined"])
 def test_parse_matches_golden_output(mode, cpus, chunks, tmp_path, capsys,
-                                     usable_cpus, chunks_handed_out):
+                                     usable_cpus, chunk_log, no_child_left):
     collector_on = gc.isenabled()
     usable_cpus(cpus)
     code, out, snap = parse_run(capsys, tmp_path, "--input", str(GOLDEN_LOG),
                                 *GOLDEN_MODES[mode])
     assert code == EXIT_OK
     assert (out, snap) == golden(mode)
-    assert chunks_handed_out == chunks
-    assert multiprocessing.active_children() == []
+    assert chunk_log.masked == chunks
+    no_child_left()
     assert gc.isenabled() == collector_on
 
 
@@ -377,8 +452,7 @@ def test_parse_resumed_mid_stream_ends_as_the_one_pass_run(mode, tmp_path,
 @pytest.mark.parametrize("rules", [GOLDEN_MASKS, r"\d*"],
                          ids=["golden-masks", "empty-match"])
 def test_parse_pipelined_output_is_the_serial_output(
-        rules, strict, long_log, tmp_path, capsys, usable_cpus,
-        chunks_handed_out):
+        rules, strict, long_log, tmp_path, capsys, usable_cpus, chunk_log):
     if not rules.endswith(".masks"):
         # masking again would add a wildcard beside each one already there
         masks = tmp_path / "masks.txt"
@@ -387,25 +461,70 @@ def test_parse_pipelined_output_is_the_serial_output(
     argv = ("--input", long_log, "--masks", rules, *strict)
     usable_cpus(1)
     serial = parse_run(capsys, tmp_path, *argv)
-    assert chunks_handed_out == []
+    assert chunk_log.masked == []
     usable_cpus(3)
     assert parse_run(capsys, tmp_path, *argv) == serial
-    assert chunks_handed_out == [1000] * 6 + [381]
+    assert chunk_log.masked == CHUNKS_OF_LONG_LOG
     assert serial[0] == EXIT_OK
     assert serial[1].count(b"\n") == 6381
 
 
+@pytest.mark.parametrize("data, chunks", [
+    (b"", [0]),
+    (b"".join(b"at 0x%x: %d\n" % (i, i) for i in range(1000)), [1000, 0]),
+    (b"".join(b"at 0x%x: %d\n" % (i, i) for i in range(1001)), [1000, 1]),
+    (b"a 1\nb 2", [2]),
+    (b"a 1\nb 2\r", [2]),
+    (b"a 1\n" * 999 + b"b 2\r\n\rc 3\n", [1000, 2])],
+    ids=["empty", "1000-lines", "1001-lines", "no-final-newline",
+         "lone-cr-last", "cr-starts-a-chunk"])
+def test_parse_pipelined_output_is_the_serial_output_at_the_edges(
+        data, chunks, tmp_path, capsys, usable_cpus, chunk_log):
+    log = tmp_path / "edge.log"
+    log.write_bytes(data)
+    argv = ("--input", str(log), "--masks", GOLDEN_MASKS)
+    usable_cpus(1)
+    serial = parse_run(capsys, tmp_path, *argv)
+    usable_cpus(3)
+    assert parse_run(capsys, tmp_path, *argv) == serial
+    assert chunk_log.masked == chunks
+    assert serial[0] == EXIT_OK
+
+
+def test_parse_workers_read_the_file_parse_opened(long_log, tmp_path, capsys,
+                                                   usable_cpus, chunk_log,
+                                                   monkeypatch):
+    argv = ("--input", long_log, "--masks", GOLDEN_MASKS)
+    usable_cpus(1)
+    serial = parse_run(capsys, tmp_path, *argv)
+    open_input = cli._open_input
+
+    @contextmanager
+    def unlinked_once_open(path):
+        with open_input(path) as reader:
+            os.unlink(path)
+            yield reader
+
+    monkeypatch.setattr(cli, "_open_input", unlinked_once_open)
+    usable_cpus(3)
+    assert parse_run(capsys, tmp_path, *argv) == serial
+    assert not os.path.exists(long_log)
+    assert chunk_log.masked == CHUNKS_OF_LONG_LOG
+
+
 def test_parse_hands_out_at_most_two_chunks_per_worker_ahead(
-        long_log, monkeypatch, usable_cpus, chunks_handed_out):
+        long_log, monkeypatch, usable_cpus, chunk_log):
     usable_cpus(4)                  # still two mask workers
     monkeypatch.setattr(cli, "CHUNK_LINES", 100)
     ahead = []
 
     class Stdout:
-        """Notes, per line written, the chunks handed out beyond it."""
+        """Notes, per line written, the chunks workers began on beyond
+        the chunk the line is in.  Writing is slower than masking, so the
+        workers soon begin on every chunk handed out."""
 
         def write(self, text):
-            ahead.append(len(chunks_handed_out) - len(ahead) // 100 - 1)
+            ahead.append(len(chunk_log.started()) - len(chunk_log.masked))
 
         def flush(self):
             pass
@@ -450,7 +569,7 @@ def test_mask_workers(source, rules, cpus, want, raw_file, tmp_path,
 
 
 def test_parse_reports_a_dead_mask_worker(long_log, tmp_path, capfd,
-                                          dying_workers):
+                                          dying_workers, no_child_left):
     snap = tmp_path / "out.snap"
     code = main(["parse", "--input", long_log, "--masks", GOLDEN_MASKS,
                  "--snapshot-out", str(snap)])
@@ -460,11 +579,11 @@ def test_parse_reports_a_dead_mask_worker(long_log, tmp_path, capfd,
     assert len(err.splitlines()) == 1
     assert not snap.exists()
     assert [p.name for p in tmp_path.iterdir()] == ["long.log"]
-    assert multiprocessing.active_children() == []
+    no_child_left()
 
 
 def test_parse_stops_its_mask_workers_when_stdout_closes(
-        long_log, monkeypatch, capsys, usable_cpus, chunks_handed_out):
+        long_log, monkeypatch, capsys, usable_cpus, chunk_log, no_child_left):
     usable_cpus(3)
     monkeypatch.setattr(cli, "CHUNK_LINES", 100)
 
@@ -483,12 +602,13 @@ def test_parse_stops_its_mask_workers_when_stdout_closes(
     code = main(["parse", "--input", long_log, "--masks", GOLDEN_MASKS])
     assert code == EXIT_IO
     assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
-    assert len(chunks_handed_out) < 64
-    assert multiprocessing.active_children() == []
+    assert len(chunk_log.started()) <= len(chunk_log.masked) + 2 * 2
+    assert len(chunk_log.masked) < 64 - 2 * 2
+    no_child_left()
 
 
 #: a child `ustep` that reports 2 CPUs, so a masked `parse --input FILE`
-#: masks in two workers on any host
+#: masks in two workers, and `sweep` forks two, on any host
 TWO_CPU_MAIN = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
                 "from ustep.cli import main; sys.exit(main(sys.argv[1:]))")
 needs_affinity = pytest.mark.skipif(
@@ -735,6 +855,25 @@ def test_sweep_output_is_the_same_serial_and_forked(
     serial, forked = runs
     assert serial[0] == EXIT_OK
     assert forked == serial
+
+
+@needs_affinity
+def test_sweep_in_dev_mode_with_warnings_as_errors_prints_nothing_to_stderr(
+        labeled_file, tmp_path, capsys, usable_cpus):
+    grid = tmp_path / "grid.csv"
+    grid.write_text("0.3,4\n0.5,4\n0.7,8\n0.9,2\n")
+    argv = ["sweep", "--input", labeled_file, "--grid", str(grid)]
+    usable_cpus(2)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    # a leaked pipe shows as a ResourceWarning, and a fork in a process
+    # that runs threads as a DeprecationWarning on Python 3.12 and later
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-c", TWO_CPU_MAIN,
+         *argv], env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, b""), proc.stderr
+    assert proc.stdout.decode("utf-8") == out
 
 
 def test_sweep_reports_a_dead_worker(labeled_file, tmp_path, capfd,

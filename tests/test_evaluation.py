@@ -1,7 +1,6 @@
 import csv
 import gc
 import json
-import multiprocessing
 import os
 import random
 import subprocess
@@ -15,7 +14,7 @@ import pytest
 
 from synth import (make_mixed_corpus, make_template_corpus, pa_oracle,
                    partition_to_labels, set_partitions)
-from ustep import evaluation
+from ustep import workers
 from ustep.evaluation import (
     DatasetFormatError,
     LabeledRecord,
@@ -270,7 +269,8 @@ def test_run_miner_ids_are_process_message_ids(strict):
     assert miner.snapshot() == reference.snapshot()
 
 
-def test_sweep_scores_like_process_message_per_grid_point(usable_cpus):
+def test_sweep_scores_like_process_message_per_grid_point(usable_cpus,
+                                                          no_child_left):
     rng = random.Random(3)
     lines, labels = make_template_corpus(rng, 12, 8, 400)
     records = [LabeledRecord(i + 1, line, str(g))
@@ -293,27 +293,27 @@ def test_sweep_scores_like_process_message_per_grid_point(usable_cpus):
             warnings.simplefilter("error")
             _, results = sweep(records, grid, mask_rules=rules, strict=True)
         assert results == want
-        assert multiprocessing.active_children() == []
+        no_child_left()
         assert gc.isenabled() == collector_on
 
 
-def test_sweep_raises_when_a_worker_dies(dying_workers):
+def test_sweep_raises_when_a_worker_dies(dying_workers, no_child_left):
     records = _records(["A", "A", "B"])
     with pytest.raises(BrokenProcessPool):
         sweep(records, [(0.5, 4), (0.6, 4), (0.7, 4)])
-    assert multiprocessing.active_children() == []
+    no_child_left()
 
 
 def test_sweep_hands_out_the_longest_points_first(usable_cpus,
                                                   monkeypatch):
     handed = []
-    forked_map = evaluation.forked_map
+    forked_map = workers.forked_map
 
-    def spy(fn, configs, workers):
+    def spy(fn, configs, jobs):
         handed.extend((cfg.sigma, cfg.phi) for cfg in configs)
-        return forked_map(fn, configs, workers)
+        return forked_map(fn, configs, jobs)
 
-    monkeypatch.setattr(evaluation, "forked_map", spy)
+    monkeypatch.setattr(workers, "forked_map", spy)
     usable_cpus(2)
     records = [LabeledRecord(i, "same line", "E1") for i in range(1, 4)]
     grid = [(0.5, 8), (0.9, 2), (0.3, 16), (0.9, 16), (0.5, 8)]
