@@ -2,16 +2,17 @@
 
 import argparse
 import csv
+import errno
 import io
 import json
 import os
-import re
 import stat
 import sys
 import tempfile
 import time
 from contextlib import closing, contextmanager
 from dataclasses import asdict
+from functools import partial
 from json.encoder import encode_basestring_ascii
 
 from .evaluation import (
@@ -30,10 +31,10 @@ EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_SNAPSHOT = 3
 
-#: raw lines, each ended by b"\n", in a chunk that a `parse` mask worker
-#: reads and masks at a time; 2,000 with two workers raised the calling
-#: process's peak RSS, 1,000 lowers it
-CHUNK_LINES = 1000
+#: bytes of the input file whose lines a `parse` mask worker reads and
+#: masks at a time: about 900 of parse-steady's lines.  A chunk bounded in
+#: bytes, not lines, bounds a worker's memory whatever the line length
+CHUNK_BYTES = 1 << 17
 
 
 def _read_grid(path):
@@ -93,13 +94,15 @@ def _replacing(path, mode="wb", **kwargs):
     normally; None if no path is given.
 
     The file is created at once, in `path`'s directory, so an output that
-    cannot be written fails before any input is read.  On every other exit
-    it is removed and `path` is left as it was: an error, Ctrl-C, a dead
-    worker or a full disk never cut the old file short, so `parse
-    --snapshot-in s --snapshot-out s` keeps its resume state."""
+    cannot be written, or a directory, fails before any input is read.  On
+    every other exit it is removed and `path` is left as it was: an error,
+    Ctrl-C, a dead worker or a full disk never cut the old file short, so
+    `parse --snapshot-in s --snapshot-out s` keeps its resume state."""
     if path is None:
         yield None
         return
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     try:
         fd, temp = tempfile.mkstemp(prefix=f".{os.path.basename(path)}.",
                                     dir=os.path.dirname(path) or ".")
@@ -117,92 +120,73 @@ def _replacing(path, mode="wb", **kwargs):
         raise
 
 
-def _mask_lines(rules, lines):
-    """A chunk of input lines, each without its line end and masked."""
-    return [preprocess(line.rstrip("\r\n"), rules) for line in lines]
-
-
 def _mask_workers(miner, path, reader):
     """How many worker processes `parse` masks its input in: two when the
     miner has mask rules, the input is a regular file given by path, not
     stdin, and at least 2 CPUs are usable; otherwise none, so that each
     line of a pipe, FIFO or tty is written as soon as it is read.  The
-    workers read chunks of lines from `reader`'s file and mask them ahead
-    of the calling process, which tokenizes, matches and writes every
-    line.  On 2 vCPUs masking costs a worker about twice the CPU time per
-    line that the calling process spends, so one worker left a CPU partly
-    idle and two keep both busy.  More CPUs than 2 were not measured, so
-    they get two workers too.  Without mask rules a worker made `parse`
-    slower."""
+    workers read `reader`'s file in chunks of about CHUNK_BYTES bytes
+    (`_mask_chunk`) and mask them ahead of the calling process, which
+    tokenizes, matches and writes every line.  On 2 vCPUs masking costs a
+    worker about twice the CPU time per line that the calling process
+    spends, so one worker left a CPU partly idle and two keep both busy.
+    More CPUs than 2 were not measured, so they get two workers too.
+    Without mask rules a worker made `parse` slower."""
     if not miner.config.mask_rules or path == "-" \
             or not stat.S_ISREG(os.fstat(reader.fileno()).st_mode):
         return 0
     return 2 if usable_cpus() >= 2 else 0
 
 
-class _ChunkMasker:
+def _line_start(fd, offset):
+    """Where the first line that starts at or after `offset` starts in the
+    file open at `fd`: 0 for offset 0, else just after the first b"\\n" at
+    or after `offset - 1`, found by reading a few KiB at a time with
+    `os.pread`; None if the file ends first."""
+    if not offset:
+        return 0
+    while window := os.pread(fd, 4096, offset - 1):
+        if (found := window.find(b"\n")) >= 0:
+            return offset + found
+        offset += len(window)
+    return None
+
+
+def _mask_chunk(rules, fd, index):
     """In a `parse` mask worker, the masked lines of chunk `index` of the
-    file open at `fd`, and whether that chunk is full.
+    file open at `fd`, and whether the file goes on past that chunk.
 
-    A chunk is CHUNK_LINES raw lines, each ended by b"\\n", so a worker
-    finds where a chunk ends without decoding it, and skips the chunks the
-    other workers take.  It reads with `os.pread` from its own offset, not
-    the descriptor's, so the workers share the one descriptor the caller
-    opened.  Each chunk is decoded as `_open_input` decodes a whole file:
-    a line end never falls inside a UTF-8 sequence, and a CR that ends a
-    chunk's last line is part of its CRLF.  A worker's indices rise, as
-    all workers take them in turn from one pipe."""
-
-    def __init__(self, rules, fd):
-        self.rules = rules
-        self.fd = fd
-        self.chunk = re.compile(rb"(?:[^\n]*\n){%d}" % CHUNK_LINES)
-        self.index = 0              # the chunk that starts the buffer
-        self.offset = 0             # the file offset where that chunk starts
-        self.buffer = bytearray()
-
-    def _end(self):
-        """Where the chunk at the start of the buffer ends, reading more
-        of the file as needed, and whether that chunk is full."""
-        while not (full := self.chunk.match(self.buffer)):
-            # read as much again as is held, so a chunk of long lines is
-            # scanned a few times, not once per read
-            more = os.pread(self.fd, max(1 << 20, len(self.buffer)),
-                            self.offset + len(self.buffer))
-            if not more:
-                return len(self.buffer), False
-            self.buffer += more
-        return full.end(), True
-
-    def _drop(self, end):
-        del self.buffer[:end]
-        self.offset += end
-        self.index += 1
-
-    def __call__(self, index):
-        end, full = self._end()
-        while self.index < index and full:
-            self._drop(end)
-            end, full = self._end()
-        if self.index < index:      # the input ended before this chunk
-            return [], False
-        chunk = io.BytesIO(self.buffer[:end])
-        self._drop(end)
-        reader = io.TextIOWrapper(chunk, encoding="utf-8", errors="replace")
-        return _mask_lines(self.rules, reader), full
+    Chunk `index` holds the lines that start in bytes [index * CHUNK_BYTES,
+    (index + 1) * CHUNK_BYTES) of the file, so a worker finds both of its
+    ends by reading a few KiB at each, and reads no other chunk.  It reads
+    with `os.pread`, which leaves the descriptor's offset alone, so the
+    workers share the one descriptor the caller opened.  A chunk is
+    decoded as `_open_input` decodes a whole file: it ends just after a
+    b"\\n", so never inside a UTF-8 sequence or a CRLF."""
+    start = _line_start(fd, index * CHUNK_BYTES)
+    if start is None:               # the file ends before this chunk
+        return [], False
+    stop = _line_start(fd, (index + 1) * CHUNK_BYTES)
+    # the file ends in this chunk; one cut short during the run ends here
+    end = max(start, os.fstat(fd).st_size) if stop is None else stop
+    lines = io.TextIOWrapper(io.BytesIO(os.pread(fd, end - start, start)),
+                             encoding="utf-8", errors="replace")
+    return [preprocess(line.rstrip("\r\n"), rules) for line in lines], \
+        stop is not None
 
 
 def _parse_results(miner, reader, workers):
     """`miner`'s result for each line of `reader`, in input order.  With
-    workers, forked processes read and mask chunks of lines ahead of the
-    miner, which structures each masked line as `process_message` would.
-    The first chunk that is not full ends the input, so a file that grows
-    during the run still gives a whole prefix of it."""
+    workers, forked processes read and mask chunks of the file ahead of
+    the miner (`_mask_chunk`), which structures each masked line as
+    `process_message` would.  The first chunk that the file ends in ends
+    the input, so a file that grows during the run still gives a whole
+    prefix of it."""
     if not workers:
         for line in reader:
             yield miner.process_message(line.rstrip("\r\n"))
         return
-    masker = _ChunkMasker(miner._rules, reader.fileno())
+    masker = partial(_mask_chunk, miner._rules, reader.fileno())
     with closing(forked_map(masker, range(sys.maxsize), workers)) as chunks:
         for masked, full in chunks:
             yield from map(miner._structure, masked)

@@ -38,7 +38,7 @@ def dying_workers(usable_cpus, monkeypatch):
         os._exit(1)
 
     monkeypatch.setattr(evaluation, "_template_ids", die)
-    monkeypatch.setattr(cli, "_mask_lines", die)
+    monkeypatch.setattr(cli, "_mask_chunk", die)
 
 
 @pytest.fixture

@@ -176,9 +176,11 @@ def test_parse_snapshot_in_refuses_miner_flags(flag, raw_file, tmp_path,
     assert not out_snap.exists()
 
 
+@pytest.mark.parametrize("target", ["missing/state.bin", "."],
+                         ids=["missing-dir", "directory"])
 def test_parse_refuses_an_unwritable_snapshot_out_before_reading(
-        raw_file, tmp_path, capsys):
-    snap = tmp_path / "missing" / "state.bin"
+        target, raw_file, tmp_path, capsys):
+    snap = tmp_path / target
     code, out, err = run_cli(capsys, "parse", "--input", raw_file,
                              "--snapshot-out", str(snap))
     assert code == EXIT_IO
@@ -336,15 +338,17 @@ def test_parse_line_is_compact_json_dumps(lines, masked):
 # -- parse with mask workers --------------------------------------------------
 
 #: lines `parse` reads in each chunk of `long_log`
-CHUNKS_OF_LONG_LOG = [1247, 1246, 1246, 1246, 1246, 150]
+CHUNKS_OF_LONG_LOG = [1036, 1002, 1002, 1002, 997, 1003, 339]
 
 
 @pytest.fixture
-def long_log(tmp_path):
-    """parse_golden.log 20 times over: 5,120 raw lines ended by "\\n", so
-    five full chunks and a partial one, each holding undecodable bytes,
-    CRLF and lone CR.  A lone CR ends a line too, so `parse` reads 6,381
-    lines, split among the chunks as in CHUNKS_OF_LONG_LOG."""
+def long_log(tmp_path, monkeypatch):
+    """parse_golden.log 20 times over, 126,640 bytes, with CHUNK_BYTES set
+    to 20,000: so six full chunks and a partial one, each holding
+    undecodable bytes, CRLF and lone CR.  A lone CR ends a line too, so
+    `parse` reads 6,381 lines, split among the chunks as in
+    CHUNKS_OF_LONG_LOG."""
+    monkeypatch.setattr(cli, "CHUNK_BYTES", 20_000)
     path = tmp_path / "long.log"
     path.write_bytes(GOLDEN_LOG.read_bytes() * 20)
     return str(path)
@@ -469,17 +473,38 @@ def test_parse_pipelined_output_is_the_serial_output(
     assert serial[1].count(b"\n") == 6381
 
 
-@pytest.mark.parametrize("data, chunks", [
-    (b"", [0]),
-    (b"".join(b"at 0x%x: %d\n" % (i, i) for i in range(1000)), [1000, 0]),
-    (b"".join(b"at 0x%x: %d\n" % (i, i) for i in range(1001)), [1000, 1]),
-    (b"a 1\nb 2", [2]),
-    (b"a 1\nb 2\r", [2]),
-    (b"a 1\n" * 999 + b"b 2\r\n\rc 3\n", [1000, 2])],
+@pytest.mark.parametrize("data, chunk_bytes, chunks", [
+    (b"", 200, [0]),
+    # 13,618 bytes, so the file ends exactly on a chunk boundary
+    (b"".join(b"at 0x%x: %d\n" % (i, i) for i in range(1000)), 6809,
+     [514, 486, 0]),
+    (b"".join(b"at 0x%x: %d\n" % (i, i) for i in range(1001)), 6809,
+     [514, 486, 1]),
+    (b"a 1\nb 2", 200, [2]),
+    (b"a 1\nb 2\r", 200, [2]),
+    (b"a 1\n" * 999 + b"b 2\r\n\rc 3\n", 4001, [1000, 2]),
+    (b"abcdefg 1\n" * 9, 25, [3, 2, 3, 1]),
+    (b"abcdefg 1\n" * 5, 20, [2, 2, 1]),
+    (b"a 1\r\n" * 10, 9, [2, 2, 2, 2, 1, 1]),
+    ("\u00e9 1\n".encode() * 10 + b"\xff\n", 6, [2, 1, 1, 1, 1, 2, 1, 1, 1]),
+    # the second line starts in chunk 0 and ends in chunk 3
+    (b"a 1\n" + b"x" * 50 + b" 2\n" + b"b 3\n", 16, [2, 0, 0, 1]),
+    # at the shipped size: 20,000-byte lines, at most
+    # CHUNK_BYTES // 20,000 + 1 = 7 to a chunk; then the golden log
+    # 60 times over, 379,920 bytes in 3 chunks
+    ((b"x" * 19_997 + b" 1\n") * 40, None, [7, 7, 6, 7, 6, 7, 0]),
+    (GOLDEN_LOG.read_bytes() * 60, None, [6611, 6618, 5912])],
     ids=["empty", "1000-lines", "1001-lines", "no-final-newline",
-         "lone-cr-last", "cr-starts-a-chunk"])
+         "lone-cr-last", "cr-starts-a-chunk", "boundary-mid-line",
+         "boundary-after-a-newline", "boundary-inside-a-crlf",
+         "boundary-inside-utf-8", "line-over-two-chunks", "20-kb-lines",
+         "shipped-chunk-size"])
 def test_parse_pipelined_output_is_the_serial_output_at_the_edges(
-        data, chunks, tmp_path, capsys, usable_cpus, chunk_log):
+        data, chunk_bytes, chunks, tmp_path, capsys, usable_cpus, chunk_log,
+        monkeypatch):
+    """`chunk_bytes` None runs at the shipped CHUNK_BYTES."""
+    if chunk_bytes is not None:
+        monkeypatch.setattr(cli, "CHUNK_BYTES", chunk_bytes)
     log = tmp_path / "edge.log"
     log.write_bytes(data)
     argv = ("--input", str(log), "--masks", GOLDEN_MASKS)
@@ -515,7 +540,7 @@ def test_parse_workers_read_the_file_parse_opened(long_log, tmp_path, capsys,
 def test_parse_hands_out_at_most_two_chunks_per_worker_ahead(
         long_log, monkeypatch, usable_cpus, chunk_log):
     usable_cpus(4)                  # still two mask workers
-    monkeypatch.setattr(cli, "CHUNK_LINES", 100)
+    monkeypatch.setattr(cli, "CHUNK_BYTES", 2000)
     ahead = []
 
     class Stdout:
@@ -585,7 +610,7 @@ def test_parse_reports_a_dead_mask_worker(long_log, tmp_path, capfd,
 def test_parse_stops_its_mask_workers_when_stdout_closes(
         long_log, monkeypatch, capsys, usable_cpus, chunk_log, no_child_left):
     usable_cpus(3)
-    monkeypatch.setattr(cli, "CHUNK_LINES", 100)
+    monkeypatch.setattr(cli, "CHUNK_BYTES", 2000)
 
     class ClosedPipe:
         written = 0
@@ -614,6 +639,35 @@ TWO_CPU_MAIN = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
 needs_affinity = pytest.mark.skipif(
     not hasattr(os, "sched_getaffinity"),
     reason="parse forks a mask worker only where os.sched_getaffinity exists")
+
+
+@needs_affinity
+@settings(max_examples=50, deadline=None)
+# U+2028 ends a line for str.splitlines but not for parse
+@given(st.lists(st.sampled_from([b"a", b"1", b" ", b"\r", b"\n",
+                                 "\u00e9".encode(), "\u2028".encode(),
+                                 b"\xff"]),
+                max_size=80).map(b"".join),
+       st.integers(1, 64))
+def test_parse_pipelined_output_is_the_serial_output_at_any_chunk_size(
+        data, chunk_bytes):
+    with tempfile.TemporaryDirectory() as tmp, \
+            pytest.MonkeyPatch.context() as patch:
+        log = Path(tmp, "raw.log")
+        log.write_bytes(data)
+        patch.setattr(cli, "CHUNK_BYTES", chunk_bytes)
+        runs = []
+        for cpus in (1, 2):         # serial, then two mask workers
+            patch.setattr(os, "sched_getaffinity",
+                          lambda pid, n=cpus: set(range(n)))
+            snap = Path(tmp, f"{cpus}.snap")
+            out = io.StringIO()
+            with redirect_stdout(out):
+                code = main(["parse", "--input", str(log), "--masks",
+                             GOLDEN_MASKS, "--snapshot-out", str(snap)])
+            assert code == EXIT_OK
+            runs.append((out.getvalue(), snap.read_bytes()))
+    assert runs[1] == runs[0]
 
 
 @needs_affinity
@@ -682,14 +736,18 @@ def test_bench_reports(labeled_file, capsys, tmp_path):
     assert rows[3].split(",")[1] == "2"
 
 
-@pytest.mark.parametrize("flag", ["--snapshot-out", "--timing-csv"])
+@pytest.mark.parametrize("flag, target", [
+    ("--snapshot-out", "missing/out"), ("--timing-csv", "missing/out"),
+    ("--snapshot-out", "."), ("--timing-csv", ".")],
+    ids=["--snapshot-out", "--timing-csv", "--snapshot-out-directory",
+         "--timing-csv-directory"])
 def test_bench_refuses_an_unwritable_output_before_the_run(
-        flag, labeled_file, tmp_path, capsys, monkeypatch):
+        flag, target, labeled_file, tmp_path, capsys, monkeypatch):
     def run_miner(*args, **kwargs):
         pytest.fail("bench ran the miner before checking its outputs")
 
     monkeypatch.setattr(cli, "run_miner", run_miner)
-    path = tmp_path / "missing" / "out"
+    path = tmp_path / target
     code, out, err = run_cli(capsys, "bench", "--input", labeled_file,
                              flag, str(path))
     assert code == EXIT_IO
