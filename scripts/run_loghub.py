@@ -16,13 +16,34 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from ustep.evaluation import load_labeled_dataset, robustness_stats, sweep
+from ustep.cli import _replacing
+from ustep.evaluation import (DatasetFormatError, load_labeled_dataset,
+                              robustness_stats, sweep)
 from ustep.tokens import read_mask_rules
 
 DATASETS = ["Apache", "BGL", "Hadoop", "HDFS", "HPC", "Mac",
             "OpenSSH", "OpenStack", "Thunderbird", "Zookeeper"]
 MASK_DIR = Path(__file__).resolve().parent / "masks"
 GRID = [(s / 10, p) for s in range(3, 9) for p in (2, 4, 6, 8, 12, 16)]
+
+
+def _report(found):
+    """The best grid point of each dataset in `found`, and the summary."""
+    per_dataset = {}
+    for name, path in found.items():
+        records = load_labeled_dataset(path)
+        masks = MASK_DIR / f"{name}.txt"
+        rules = read_mask_rules(masks) if masks.exists() else []
+        best, _ = sweep(records, GRID, mask_rules=rules)
+        per_dataset[name] = best
+        print(f"{name:12s} PA={best['parsing_accuracy']:.3f} "
+              f"(sigma={best['sigma']}, phi={best['phi']})", file=sys.stderr)
+    values = [b["parsing_accuracy"] for b in per_dataset.values()]
+    return {
+        "per_dataset": per_dataset,
+        "robustness": asdict(robustness_stats(values)),
+        "mean_pa": sum(values) / len(values),
+    }
 
 
 def main():
@@ -42,36 +63,22 @@ def main():
     if not found:
         print("no datasets found", file=sys.stderr)
         return 1
-    # opened before the sweep, so a path that cannot be written costs no sweep
-    out = contextlib.nullcontext()
-    if args.out:
-        try:
-            out = open(args.out, "w", encoding="utf-8")
-        except OSError as exc:
-            ap.error(f"--out: {exc}")
-
-    with out:
-        per_dataset = {}
-        for name, path in found.items():
-            records = load_labeled_dataset(path)
-            masks = MASK_DIR / f"{name}.txt"
-            rules = read_mask_rules(masks) if masks.exists() else []
-            best, _ = sweep(records, GRID, mask_rules=rules)
-            per_dataset[name] = best
-            print(f"{name:12s} PA={best['parsing_accuracy']:.3f} "
-                  f"(sigma={best['sigma']}, phi={best['phi']})",
-                  file=sys.stderr)
-
-        values = [b["parsing_accuracy"] for b in per_dataset.values()]
-        report = {
-            "per_dataset": per_dataset,
-            "robustness": asdict(robustness_stats(values)),
-            "mean_pa": sum(values) / len(values),
-        }
-        text = json.dumps(report, indent=2)
-        print(text)
-        if args.out:
-            out.write(text + "\n")
+    # the report replaces --out only once it is whole; a path that cannot
+    # be written is refused before the sweep
+    try:
+        with contextlib.ExitStack() as stack:
+            try:
+                out = stack.enter_context(
+                    _replacing(args.out, "w", encoding="utf-8"))
+            except OSError as exc:
+                ap.error(f"--out: {exc}")
+            text = json.dumps(_report(found), indent=2)
+            if out:
+                out.write(text + "\n")
+    except DatasetFormatError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    print(text)
     return 0
 
 

@@ -10,8 +10,10 @@ Usage: python3 scripts/throughput_experiment.py [--lines N] [--templates K]
 """
 
 import argparse
+import contextlib
 import sys
 
+from ustep.cli import _replacing
 from ustep.evaluation import run_miner, synthetic_stream, write_timing_csv
 from ustep.miner import MinerConfig
 from ustep.tokens import ConfigError
@@ -34,12 +36,13 @@ def main():
         cfg = MinerConfig(sigma=args.sigma, phi=args.phi)
     except ConfigError as exc:
         ap.error(str(exc))
-    # opened before the run, so a path that cannot be written costs no run
-    try:
-        fh = open(args.out, "w", newline="")
-    except OSError as exc:
-        ap.error(f"--out: {exc}")
-    with fh:
+    # the timings replace --out only once they are whole; a path that
+    # cannot be written is refused before the run
+    with contextlib.ExitStack() as stack:
+        try:
+            fh = stack.enter_context(_replacing(args.out, "w", newline=""))
+        except OSError as exc:
+            ap.error(f"--out: {exc}")
         report = run_miner(cfg, synthetic_stream(args.lines, args.templates),
                            args.chunk_size, dataset_name="synthetic")[1]
         write_timing_csv(report, fh)

@@ -90,108 +90,107 @@ def _build_config(args):
 
 @contextmanager
 def _replacing(path, mode="wb", **kwargs):
-    """A new file, open in `mode`, that replaces `path` once the block ends
-    normally; None if no path is given.
+    """A new file, open in `mode`, that replaces the file `path` names
+    once the block ends normally; None if no path is given.
 
-    The file is created at once, in `path`'s directory, so an output that
-    cannot be written, or a directory, fails before any input is read.  On
-    every other exit it is removed and `path` is left as it was: an error,
-    Ctrl-C, a dead worker or a full disk never cut the old file short, so
-    `parse --snapshot-in s --snapshot-out s` keeps its resume state."""
+    The file is created at once beside the file `path` names, through any
+    symlink, so an output that cannot be written, or a directory, fails
+    before any input is read; its permission bits are those `open` would
+    leave.  On every other exit it is removed and `path` is left as it
+    was: an error, Ctrl-C, a dead worker or a full disk never cut the old
+    file short, so `parse --snapshot-in s --snapshot-out s` keeps its
+    resume state."""
     if path is None:
         yield None
         return
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    target = os.path.realpath(path)
     try:
-        fd, temp = tempfile.mkstemp(prefix=f".{os.path.basename(path)}.",
-                                    dir=os.path.dirname(path) or ".")
+        fd, temp = tempfile.mkstemp(prefix=f".{os.path.basename(target)}.",
+                                    dir=os.path.dirname(target))
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from None
     try:
-        umask = os.umask(0)
-        os.umask(umask)
-        os.fchmod(fd, 0o666 & ~umask)   # the mode `open` creates a file with
         with open(fd, mode, **kwargs) as fh:
+            try:
+                bits = stat.S_IMODE(os.stat(target).st_mode)
+            except FileNotFoundError:
+                umask = os.umask(0)
+                os.umask(umask)
+                bits = 0o666 & ~umask
+            os.fchmod(fd, bits)
             yield fh
-        os.replace(temp, path)
+        os.replace(temp, target)
     except BaseException:
         os.unlink(temp)
         raise
 
 
-def _mask_workers(miner, path, reader):
-    """How many worker processes `parse` masks its input in: two when the
-    miner has mask rules, the input is a regular file given by path, not
-    stdin, and at least 2 CPUs are usable; otherwise none, so that each
-    line of a pipe, FIFO or tty is written as soon as it is read.  The
-    workers read `reader`'s file in chunks of about CHUNK_BYTES bytes
-    (`_mask_chunk`) and mask them ahead of the calling process, which
-    tokenizes, matches and writes every line.  On 2 vCPUs masking costs a
-    worker about twice the CPU time per line that the calling process
-    spends, so one worker left a CPU partly idle and two keep both busy.
-    More CPUs than 2 were not measured, so they get two workers too.
-    Without mask rules a worker made `parse` slower."""
-    if not miner.config.mask_rules or path == "-" \
-            or not stat.S_ISREG(os.fstat(reader.fileno()).st_mode):
-        return 0
-    return 2 if usable_cpus() >= 2 else 0
+def _mask_chunks(miner, path, reader):
+    """The chunks of `reader`'s file that `parse` masks in worker processes
+    (`_mask_chunk`): `range(ceil(size / CHUNK_BYTES))`, for the size at
+    open.  Empty, so each line of a pipe, FIFO or tty is written as soon
+    as it is read, unless there are mask rules (without them a worker made
+    `parse` slower), the input is a regular file given by path, not stdin,
+    and at least 2 CPUs are usable.  A size of 0, as of an empty file or
+    one under /proc, gives none either, so the file is read serially."""
+    if miner.config.mask_rules and path != "-" and usable_cpus() >= 2:
+        info = os.fstat(reader.fileno())
+        if stat.S_ISREG(info.st_mode):
+            return range(-(-info.st_size // CHUNK_BYTES))
+    return range(0)
 
 
 def _line_start(fd, offset):
     """Where the first line that starts at or after `offset` starts in the
     file open at `fd`: 0 for offset 0, else just after the first b"\\n" at
     or after `offset - 1`, found by reading a few KiB at a time with
-    `os.pread`; None if the file ends first."""
+    `os.pread`; past the end of the file if no line starts there."""
     if not offset:
         return 0
     while window := os.pread(fd, 4096, offset - 1):
         if (found := window.find(b"\n")) >= 0:
             return offset + found
         offset += len(window)
-    return None
+    return offset
 
 
 def _mask_chunk(rules, fd, index):
-    """In a `parse` mask worker, the masked lines of chunk `index` of the
-    file open at `fd`, and whether the file goes on past that chunk.
+    """A mask worker's masked lines of chunk `index` of the file at `fd`.
 
     Chunk `index` holds the lines that start in bytes [index * CHUNK_BYTES,
-    (index + 1) * CHUNK_BYTES) of the file, so a worker finds both of its
-    ends by reading a few KiB at each, and reads no other chunk.  It reads
-    with `os.pread`, which leaves the descriptor's offset alone, so the
-    workers share the one descriptor the caller opened.  A chunk is
-    decoded as `_open_input` decodes a whole file: it ends just after a
-    b"\\n", so never inside a UTF-8 sequence or a CRLF."""
+    (index + 1) * CHUNK_BYTES) of the file, each up to its b"\\n" or the
+    end of the file, so a worker finds both of its ends by reading a few
+    KiB at each, and reads no other chunk.  It reads with `os.pread`,
+    which leaves the descriptor's offset alone, so the workers share the
+    one descriptor the caller opened.  A chunk is decoded as `_open_input`
+    decodes a whole file: it ends just after a b"\\n", so never inside a
+    UTF-8 sequence or a CRLF."""
     start = _line_start(fd, index * CHUNK_BYTES)
-    if start is None:               # the file ends before this chunk
-        return [], False
-    stop = _line_start(fd, (index + 1) * CHUNK_BYTES)
-    # the file ends in this chunk; one cut short during the run ends here
-    end = max(start, os.fstat(fd).st_size) if stop is None else stop
-    lines = io.TextIOWrapper(io.BytesIO(os.pread(fd, end - start, start)),
+    # below 0 only if the file was cut short between the two searches
+    size = max(_line_start(fd, (index + 1) * CHUNK_BYTES) - start, 0)
+    lines = io.TextIOWrapper(io.BytesIO(os.pread(fd, size, start)),
                              encoding="utf-8", errors="replace")
-    return [preprocess(line.rstrip("\r\n"), rules) for line in lines], \
-        stop is not None
+    return [preprocess(line.rstrip("\r\n"), rules) for line in lines]
 
 
-def _parse_results(miner, reader, workers):
+def _parse_results(miner, reader, chunks):
     """`miner`'s result for each line of `reader`, in input order.  With
-    workers, forked processes read and mask chunks of the file ahead of
+    `chunks`, two forked processes mask those chunks of the file ahead of
     the miner (`_mask_chunk`), which structures each masked line as
-    `process_message` would.  The first chunk that the file ends in ends
-    the input, so a file that grows during the run still gives a whole
-    prefix of it."""
-    if not workers:
+    `process_message` would; a file that grows gives the lines that start
+    in them.  On 2 vCPUs a worker masks a line in about twice the time
+    the caller spends on the rest, so two keep both CPUs busy where one
+    left them partly idle; more CPUs, unmeasured, get two as well."""
+    if not chunks:
         for line in reader:
             yield miner.process_message(line.rstrip("\r\n"))
         return
     masker = partial(_mask_chunk, miner._rules, reader.fileno())
-    with closing(forked_map(masker, range(sys.maxsize), workers)) as chunks:
-        for masked, full in chunks:
-            yield from map(miner._structure, masked)
-            if not full:
-                return
+    with closing(forked_map(masker, chunks, 2)) as masked:
+        for lines in masked:
+            yield from map(miner._structure, lines)
 
 
 def cmd_parse(args):
@@ -215,7 +214,7 @@ def cmd_parse(args):
         start = time.perf_counter()
         n = 0
         with _open_input(args.input) as fh, closing(_parse_results(
-                miner, fh, _mask_workers(miner, args.input, fh))) as results:
+                miner, fh, _mask_chunks(miner, args.input, fh))) as results:
             for n, result in enumerate(results, 1):
                 write(f'{{"line_no":{n},"template_id":{result.template_id},'
                       f'"template":{quote(result.template_text)},"variables":'

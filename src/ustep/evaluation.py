@@ -74,7 +74,7 @@ def load_labeled_dataset(path):
                     raise DatasetFormatError(
                         f"{path}: missing required column {col!r}")
             for row in reader:
-                if any(row[col] is None for col in REQUIRED_COLUMNS):
+                if None in row.values():
                     raise csv.Error("fewer fields than the header")
                 try:
                     line_id = int(row["LineId"])

@@ -60,8 +60,8 @@ def forked_map(fn, items, workers):
     computed in `workers` forked processes.
 
     The workers inherit `fn` and `items`, and all they refer to, by fork;
-    only indices into `items` and the pickled results cross pipes, so `fn`
-    may be any callable and `items` a `range` too long to list.  Every
+    only indices into `items` and the pickled results cross pipes, so
+    neither `fn` nor `items` need be picklable.  Every
     worker takes its next index from one shared pipe, so a slow item holds
     up only its own worker.  No more than 2 * workers indices are handed
     out beyond the result being yielded, and each worker's result pipe

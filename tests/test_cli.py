@@ -6,6 +6,7 @@ import json
 import os
 import re
 import signal
+import stat
 import subprocess
 import sys
 import tempfile
@@ -267,6 +268,48 @@ def test_bench_interrupted_while_writing_keeps_the_old_timing_csv(
                                                     "timing.csv"}
 
 
+#: each output file a command writes through `cli._replacing`
+OUTPUTS = pytest.mark.parametrize("command, flag", [
+    ("parse", "--snapshot-out"), ("bench", "--snapshot-out"),
+    ("bench", "--timing-csv")],
+    ids=["parse-snapshot", "bench-snapshot", "bench-timing-csv"])
+
+
+@OUTPUTS
+def test_an_output_gets_the_mode_open_would_leave(command, flag, raw_file,
+                                                   labeled_file, tmp_path,
+                                                   capsys):
+    source = raw_file if command == "parse" else labeled_file
+    old, new = tmp_path / "old.out", tmp_path / "new.out"
+    old.write_bytes(b"the old output\n")
+    old.chmod(0o600)
+    umask = os.umask(0o027)
+    try:
+        for target in (old, new):
+            assert run_cli(capsys, command, "--input", source, flag,
+                           str(target))[0] == EXIT_OK
+    finally:
+        os.umask(umask)
+    assert old.read_bytes() != b"the old output\n"
+    assert stat.S_IMODE(old.stat().st_mode) == 0o600    # kept
+    assert stat.S_IMODE(new.stat().st_mode) == 0o640    # 0o666 & ~umask
+
+
+@OUTPUTS
+def test_an_output_through_a_symlink_replaces_the_file_it_names(
+        command, flag, raw_file, labeled_file, tmp_path, capsys):
+    source = raw_file if command == "parse" else labeled_file
+    (tmp_path / "real").mkdir()
+    real, link = tmp_path / "real" / "out", tmp_path / "link"
+    real.write_bytes(b"the old output\n")
+    link.symlink_to(Path("real", "out"))
+    assert run_cli(capsys, command, "--input", source, flag,
+                   str(link))[0] == EXIT_OK
+    assert os.readlink(link) == os.path.join("real", "out")
+    assert real.read_bytes() != b"the old output\n"
+    assert [p.name for p in (tmp_path / "real").iterdir()] == ["out"]
+
+
 # -- parse output, pinned ---------------------------------------------------
 
 # tests/data/parse_golden.log holds quotes, backslashes, control characters,
@@ -386,9 +429,9 @@ def chunk_log(monkeypatch, tmp_path_factory):
             return fn(index)
 
         with closing(forked_map(started, items, workers)) as chunks:
-            for masked, full in chunks:
+            for masked in chunks:
                 log.masked.append(len(masked))
-                yield masked, full
+                yield masked
 
     monkeypatch.setattr(cli, "forked_map", logged)
     return log
@@ -473,13 +516,17 @@ def test_parse_pipelined_output_is_the_serial_output(
     assert serial[1].count(b"\n") == 6381
 
 
+#: 1,000 lines in 13,618 bytes: two chunks of 6,809 bytes exactly
+THOUSAND_LINES = b"".join(b"at 0x%x: %d\n" % (i, i) for i in range(1000))
+#: a regular file whose size reads 0 although it holds lines, on Linux
+PROC_FILE = "/proc/self/mounts"
+
+
 @pytest.mark.parametrize("data, chunk_bytes, chunks", [
-    (b"", 200, [0]),
+    (b"", 200, []),                 # size 0: read serially
     # 13,618 bytes, so the file ends exactly on a chunk boundary
-    (b"".join(b"at 0x%x: %d\n" % (i, i) for i in range(1000)), 6809,
-     [514, 486, 0]),
-    (b"".join(b"at 0x%x: %d\n" % (i, i) for i in range(1001)), 6809,
-     [514, 486, 1]),
+    (THOUSAND_LINES, 6809, [514, 486]),
+    (THOUSAND_LINES + b"at 0x3e8: 1000\n", 6809, [514, 486, 1]),
     (b"a 1\nb 2", 200, [2]),
     (b"a 1\nb 2\r", 200, [2]),
     (b"a 1\n" * 999 + b"b 2\r\n\rc 3\n", 4001, [1000, 2]),
@@ -537,6 +584,45 @@ def test_parse_workers_read_the_file_parse_opened(long_log, tmp_path, capsys,
     assert chunk_log.masked == CHUNKS_OF_LONG_LOG
 
 
+def test_parse_workers_read_the_chunks_of_the_size_at_open(
+        tmp_path, capsys, usable_cpus, chunk_log, monkeypatch):
+    # the file ends on a chunk boundary when `parse` counts its chunks, so
+    # the lines appended before the workers start begin past its last one
+    monkeypatch.setattr(cli, "CHUNK_BYTES", 6809)
+    log = tmp_path / "growing.log"
+    log.write_bytes(THOUSAND_LINES)
+    argv = ("--input", str(log), "--masks", GOLDEN_MASKS)
+    usable_cpus(1)
+    serial = parse_run(capsys, tmp_path, *argv)
+    forked_map = cli.forked_map
+
+    def appended_first(fn, items, workers):
+        with open(log, "ab") as fh:
+            fh.write(b"late 0x1: 1\n" * 1000)
+        return forked_map(fn, items, workers)
+
+    monkeypatch.setattr(cli, "forked_map", appended_first)
+    usable_cpus(3)
+    assert parse_run(capsys, tmp_path, *argv) == serial
+    assert chunk_log.masked == [514, 486]
+    assert log.stat().st_size == len(THOUSAND_LINES) + 12_000
+
+
+def test_parse_reads_a_file_whose_size_reads_0_to_its_end(
+        tmp_path, capsys, usable_cpus, chunk_log):
+    if not os.path.exists(PROC_FILE):
+        pytest.skip(f"no {PROC_FILE} on this platform")
+    argv = ("--input", PROC_FILE, "--masks", GOLDEN_MASKS)
+    usable_cpus(1)
+    serial = parse_run(capsys, tmp_path, *argv)
+    usable_cpus(2)
+    assert parse_run(capsys, tmp_path, *argv) == serial
+    assert chunk_log.masked == []
+    assert serial[0] == EXIT_OK
+    assert serial[1].count(b"\n") == \
+        Path(PROC_FILE).read_bytes().count(b"\n") > 0
+
+
 def test_parse_hands_out_at_most_two_chunks_per_worker_ahead(
         long_log, monkeypatch, usable_cpus, chunk_log):
     usable_cpus(4)                  # still two mask workers
@@ -572,13 +658,15 @@ def test_parse_stdin_stays_serial(monkeypatch, capsys, dying_workers):
 
 
 @pytest.mark.parametrize("source, rules, cpus, want", [
-    ("file", True, 1, 0), ("file", True, 2, 2), ("file", True, 3, 2),
-    ("file", True, 8, 2), ("file", False, 8, 0), ("stdin", True, 8, 0),
-    ("fifo", True, 8, 0)],
+    ("file", True, 1, 0), ("file", True, 2, 1), ("file", True, 3, 1),
+    ("file", True, 8, 1), ("file", False, 8, 0), ("stdin", True, 8, 0),
+    ("fifo", True, 8, 0), ("empty", True, 8, 0), ("proc", True, 8, 0)],
     ids=["1-cpu", "2-cpus", "3-cpus", "8-cpus", "no-mask-rules", "stdin",
-         "fifo"])
+         "fifo", "empty-file", "proc-file"])
 def test_mask_workers(source, rules, cpus, want, raw_file, tmp_path,
                       monkeypatch):
+    """The chunks `parse` hands its mask workers: `want` of them for the
+    30-byte `raw_file`, or none, so the input is read serially."""
     monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
     miner = Miner(MinerConfig(mask_rules=[r"\d+"] if rules else []))
     path, flags = raw_file, os.O_RDONLY
@@ -588,9 +676,16 @@ def test_mask_workers(source, rules, cpus, want, raw_file, tmp_path,
         path = str(tmp_path / "fifo")
         os.mkfifo(path)
         flags |= os.O_NONBLOCK      # else opening waits for a writer
+    elif source == "empty":
+        path = str(tmp_path / "empty.log")
+        Path(path).touch()
+    elif source == "proc":
+        path = PROC_FILE
+        if not os.path.exists(path):
+            pytest.skip(f"no {path} on this platform")
     with open(os.open(path, flags), "rb") as reader:
         given = "-" if source == "stdin" else path
-        assert cli._mask_workers(miner, given, reader) == want
+        assert cli._mask_chunks(miner, given, reader) == range(want)
 
 
 def test_parse_reports_a_dead_mask_worker(long_log, tmp_path, capfd,
@@ -754,6 +849,23 @@ def test_bench_refuses_an_unwritable_output_before_the_run(
     assert out == ""
     assert err.startswith("error: ") and str(path) in err
     assert len(err.splitlines()) == 1
+
+
+def test_bench_snapshot_out_holds_the_streamed_templates(labeled_file,
+                                                         tmp_path, capsys):
+    snap = tmp_path / "bench.snap"
+    assert run_cli(capsys, "bench", "--input", labeled_file, "--phi", "2",
+                   "--chunk-size", "3", "--snapshot-out", str(snap))[0] \
+        == EXIT_OK
+    streamed = Miner(MinerConfig(phi=2))
+    for record in load_labeled_dataset(labeled_file):
+        streamed.process_message(record.content)
+    assert Miner.restore(snap.read_bytes()).templates() == \
+        streamed.templates()
+    code, out, _ = run_cli(capsys, "stats", "--snapshot-in", str(snap))
+    assert code == EXIT_OK
+    assert [(t["id"], t["template"], t["match_count"])
+            for t in json.loads(out)["templates"]] == streamed.templates()
 
 
 def test_bench_csv_format(labeled_file, capsys):

@@ -122,13 +122,23 @@ def test_load_labeled_csv(tmp_path):
         "LineId,Content,EventId,EventTemplate\n"
         '1,"hello, world",E1,hello <*>\n'
         "2,bye now,E2,bye <*>\n"
-        "3,no template,E3\n")
+        "3,no template,E3,\n")
     recs = load_labeled_dataset(path)
     assert len(recs) == 3
     assert recs[0].content == "hello, world"
     assert recs[0].event_id == "E1"
     assert recs[1].line_id == 2
-    assert [r.event_template for r in recs] == ["hello <*>", "bye <*>", None]
+    assert [r.event_template for r in recs] == ["hello <*>", "bye <*>", ""]
+
+
+def test_load_refuses_a_row_short_of_any_column(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("LineId,Content,EventId,EventTemplate\n"
+                    "1,a 1,E1,a <*>\n"
+                    "2,b 2,E2\n")
+    with pytest.raises(DatasetFormatError,
+                       match=r"row 2 \(line 3\): fewer fields than the header"):
+        load_labeled_dataset(path)
 
 
 def test_load_without_template_column(tmp_path):
@@ -255,6 +265,46 @@ def test_run_loghub_script_reports_each_dataset_found(tmp_path):
     assert proc.returncode == 1
     assert "no datasets found" in proc.stderr
     assert proc.stdout == ""
+
+
+def test_run_loghub_script_reports_a_bad_dataset_and_keeps_the_old_out(
+        tmp_path):
+    csv_path = tmp_path / "data" / "HDFS" / "HDFS_2k.log_structured.csv"
+    csv_path.parent.mkdir(parents=True)
+    csv_path.write_text("LineId,Content,EventId\n1,a 1,E1\n2,b 2\n")
+    out = tmp_path / "report.json"
+    out.write_text("the old report\n")
+    proc = _run_script("run_loghub.py", "--data-dir", str(tmp_path / "data"),
+                       "--out", str(out))
+    assert proc.returncode == 1
+    assert [line for line in proc.stderr.splitlines()
+            if not line.startswith("skipping ")] == [
+        f"error: {csv_path}: row 2 (line 3): fewer fields than the header"]
+    assert proc.stdout == ""
+    assert out.read_text() == "the old report\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data",
+                                                          "report.json"]
+
+
+def test_throughput_script_keeps_the_old_out_when_its_write_fails(tmp_path):
+    pytest.importorskip("resource")
+    out = tmp_path / "timings.csv"
+    out.write_text("the old timings\n")
+    # a disk that fills up: a write past 64 bytes fails with EFBIG
+    small_files = ("import resource, runpy, sys; "
+                   "resource.setrlimit(resource.RLIMIT_FSIZE, (64, 64)); "
+                   "sys.argv = sys.argv[1:]; "
+                   "runpy.run_path(sys.argv[0], run_name='__main__')")
+    proc = subprocess.run(
+        [sys.executable, "-c", small_files,
+         str(REPO / "scripts" / "throughput_experiment.py"), "--lines",
+         "200", "--chunk-size", "10", "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "File too large" in proc.stderr
+    assert out.read_text() == "the old timings\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["timings.csv"]
 
 
 @pytest.mark.parametrize("strict", [False, True])
