@@ -37,15 +37,22 @@ def main():
     except ConfigError as exc:
         ap.error(str(exc))
     # the timings replace --out only once they are whole; a path that
-    # cannot be written is refused before the run
-    with contextlib.ExitStack() as stack:
-        try:
-            fh = stack.enter_context(_replacing(args.out, "w", newline=""))
-        except OSError as exc:
-            ap.error(f"--out: {exc}")
-        report = run_miner(cfg, synthetic_stream(args.lines, args.templates),
-                           args.chunk_size, dataset_name="synthetic")[1]
-        write_timing_csv(report, fh)
+    # cannot be written is refused before the run, and a write that fails
+    # (a full disk) leaves the old file as it was
+    stack = contextlib.ExitStack()
+    try:
+        fh = stack.enter_context(_replacing(args.out, "w", newline=""))
+    except OSError as exc:
+        ap.error(f"--out: {exc}")
+    try:
+        with stack:
+            report = run_miner(cfg, synthetic_stream(args.lines,
+                                                     args.templates),
+                               args.chunk_size, dataset_name="synthetic")[1]
+            write_timing_csv(report, fh)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     rate = report.total_messages / report.total_seconds
     print(f"{report.total_messages} messages in {report.total_seconds:.2f}s "
           f"({rate:,.0f} msg/s); timings written to {args.out}",

@@ -175,27 +175,40 @@ def _mask_chunk(rules, fd, index):
     return [preprocess(line.rstrip("\r\n"), rules) for line in lines]
 
 
-def _parse_results(miner, reader, chunks):
-    """`miner`'s result for each line of `reader`, in input order.  With
-    `chunks`, two forked processes mask those chunks of the file ahead of
-    the miner (`_mask_chunk`), which structures each masked line as
-    `process_message` would; a file that grows gives the lines that start
-    in them.  On 2 vCPUs a worker masks a line in about twice the time
-    the caller spends on the rest, so two keep both CPUs busy where one
-    left them partly idle; more CPUs, unmeasured, get two as well."""
+def _masked_lines(miner, reader, chunks):
+    """Each line of `reader` as `miner`'s mask rules leave it, in input
+    order, as `process_message` masks it.  Without `chunks` the lines are
+    masked here as they are read, so a file that grows is read to its end.
+    With them, two forked processes mask those chunks of the file ahead of
+    the caller (`_mask_chunk`), so only the lines that start in the chunks
+    counted at open are read.  On 2 vCPUs a worker spends about three and
+    a half times as long masking a line as the caller spends on the rest,
+    so two keep both CPUs busy where one left them partly idle; more CPUs,
+    unmeasured, get two as well."""
     if not chunks:
+        rules = miner._rules
         for line in reader:
-            yield miner.process_message(line.rstrip("\r\n"))
+            yield preprocess(line.rstrip("\r\n"), rules)
         return
     masker = partial(_mask_chunk, miner._rules, reader.fileno())
     with closing(forked_map(masker, chunks, 2)) as masked:
         for lines in masked:
-            yield from map(miner._structure, lines)
+            yield from lines
 
 
 def cmd_parse(args):
     """One compact JSON object per input line, written as
-    `json.dumps(fields, separators=(",", ":"))` would write it."""
+    `json.dumps(fields, separators=(",", ":"))` would write it.
+
+    What follows `"line_no":N,` is kept in `tails` for a line the miner's
+    exact-line memo holds: a line that is the text of the template it
+    merged into, unchanged.  Its variables are that template's wildcards,
+    so while the tree and templates stay as they are, the text depends on
+    the masked line alone.  `tails` is replaced whenever the miner
+    replaces its memo, which it does on every change to the tree or a
+    template, creation included, and a line whose own call replaced the
+    memo is not kept.  So `tails` holds no stale text, and no line the
+    memo does not hold."""
     with _replacing(args.snapshot_out) as snapshot_out:
         if args.snapshot_in:
             given = [flag for flag, value in (
@@ -211,16 +224,26 @@ def cmd_parse(args):
             miner = Miner(_build_config(args))
         quote = encode_basestring_ascii
         write = sys.stdout.write
+        structure = miner._structure
+        memo, tails = miner._exact, {}
         start = time.perf_counter()
         n = 0
-        with _open_input(args.input) as fh, closing(_parse_results(
-                miner, fh, _mask_chunks(miner, args.input, fh))) as results:
-            for n, result in enumerate(results, 1):
-                write(f'{{"line_no":{n},"template_id":{result.template_id},'
-                      f'"template":{quote(result.template_text)},"variables":'
-                      f'[{",".join(map(quote, result.variables))}],'
-                      '"created_new":'
-                      f'{"true" if result.created_new else "false"}}}\n')
+        with _open_input(args.input) as fh, closing(_masked_lines(
+                miner, fh, _mask_chunks(miner, args.input, fh))) as lines:
+            for n, masked in enumerate(lines, 1):
+                result = structure(masked)
+                tail = tails.get(masked)
+                if tail is None:
+                    tail = (f'"template_id":{result.template_id},"template":'
+                            f'{quote(result.template_text)},"variables":'
+                            f'[{",".join(map(quote, result.variables))}],'
+                            '"created_new":'
+                            f'{"true" if result.created_new else "false"}}}\n')
+                    if miner._exact is not memo:
+                        memo, tails = miner._exact, {}
+                    elif masked == result.template_text:
+                        tails[masked] = tail
+                write(f'{{"line_no":{n},{tail}')
         if snapshot_out:
             snapshot_out.write(miner.snapshot())
     elapsed = time.perf_counter() - start

@@ -76,6 +76,8 @@ def load_labeled_dataset(path):
             for row in reader:
                 if None in row.values():
                     raise csv.Error("fewer fields than the header")
+                if None in row:
+                    raise csv.Error("more fields than the header")
                 try:
                     line_id = int(row["LineId"])
                 except ValueError:

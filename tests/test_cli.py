@@ -23,7 +23,7 @@ from ustep import cli
 from ustep.cli import EXIT_IO, EXIT_OK, EXIT_SNAPSHOT, EXIT_USAGE, main
 from ustep.evaluation import DatasetFormatError, load_labeled_dataset
 from ustep.miner import Miner, MinerConfig
-from ustep.tokens import WILDCARD
+from ustep.tokens import WILDCARD, read_mask_rules
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 DATA = Path(__file__).resolve().parent / "data"
@@ -341,41 +341,6 @@ def test_restored_wildcards_are_the_one_wildcard_object(mode):
     assert WILDCARD in labels and WILDCARD in tokens
     assert all(t is WILDCARD for t in labels + tokens if t == WILDCARD)
     assert miner.snapshot() == blob
-
-
-# lines whose tokens JSON must escape, and that merge into templates
-hostile_token = st.one_of(
-    st.sampled_from(['"q"', "a\\b", "<*>", "x<*>", "caf\u00e9", "\U0001f600",
-                     "a\u2028b", "\x07", "\x00", "\x7f", "7", "42", "x"]),
-    st.text(st.characters(exclude_categories=("Cs",),
-                          exclude_characters="\r\n"),
-            min_size=1, max_size=4))
-hostile_line = st.lists(hostile_token, max_size=4).map(" ".join)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(hostile_line, max_size=20), st.booleans())
-def test_parse_line_is_compact_json_dumps(lines, masked):
-    rules = [r"\d+"] if masked else []
-    with tempfile.TemporaryDirectory() as tmp:
-        raw = Path(tmp, "raw.log")
-        raw.write_bytes("".join(line + "\n" for line in lines).encode())
-        masks = Path(tmp, "masks.txt")
-        masks.write_text("".join(rule + "\n" for rule in rules))
-        out = io.StringIO()
-        with redirect_stdout(out):
-            code = main(["parse", "--input", str(raw), "--masks", str(masks)])
-    assert code == EXIT_OK
-    miner = Miner(MinerConfig(mask_rules=rules))
-    want = []
-    for n, line in enumerate(lines, 1):
-        result = miner.process_message(line)
-        fields = {"line_no": n, "template_id": result.template_id,
-                  "template": result.template_text,
-                  "variables": result.variables,
-                  "created_new": result.created_new}
-        want.append(json.dumps(fields, separators=(",", ":")) + "\n")
-    assert out.getvalue() == "".join(want)
 
 
 # -- parse with mask workers --------------------------------------------------
@@ -736,6 +701,46 @@ needs_affinity = pytest.mark.skipif(
     reason="parse forks a mask worker only where os.sched_getaffinity exists")
 
 
+def parse_both_ways(data, rules, chunk_bytes):
+    """(stdout, --snapshot-out bytes) of `parse` on a file of the raw bytes
+    `data` under the mask `rules`: read serially, then, with `rules`, by
+    two mask workers in chunks of `chunk_bytes`."""
+    with tempfile.TemporaryDirectory() as tmp, \
+            pytest.MonkeyPatch.context() as patch:
+        raw = Path(tmp, "raw.log")
+        raw.write_bytes(data)
+        masks = Path(tmp, "masks.txt")
+        masks.write_text("".join(rule + "\n" for rule in rules))
+        patch.setattr(cli, "CHUNK_BYTES", chunk_bytes)
+        runs = []
+        for cpus in (1, 2):
+            patch.setattr(os, "sched_getaffinity",
+                          lambda pid, n=cpus: set(range(n)))
+            snap = Path(tmp, f"{cpus}.snap")
+            out = io.StringIO()
+            with redirect_stdout(out):
+                code = main(["parse", "--input", str(raw), "--masks",
+                             str(masks), "--snapshot-out", str(snap)])
+            assert code == EXIT_OK
+            runs.append((out.getvalue(), snap.read_bytes()))
+    return runs
+
+
+def dumps_parse(lines, rules):
+    """What `parse` prints for the raw `lines`: each `process_message`
+    result as `json.dumps(fields, separators=(",", ":"))` writes it."""
+    miner = Miner(MinerConfig(mask_rules=rules))
+    want = []
+    for n, line in enumerate(lines, 1):
+        result = miner.process_message(line)
+        fields = {"line_no": n, "template_id": result.template_id,
+                  "template": result.template_text,
+                  "variables": result.variables,
+                  "created_new": result.created_new}
+        want.append(json.dumps(fields, separators=(",", ":")) + "\n")
+    return "".join(want)
+
+
 @needs_affinity
 @settings(max_examples=50, deadline=None)
 # U+2028 ends a line for str.splitlines but not for parse
@@ -746,23 +751,81 @@ needs_affinity = pytest.mark.skipif(
        st.integers(1, 64))
 def test_parse_pipelined_output_is_the_serial_output_at_any_chunk_size(
         data, chunk_bytes):
-    with tempfile.TemporaryDirectory() as tmp, \
-            pytest.MonkeyPatch.context() as patch:
-        log = Path(tmp, "raw.log")
-        log.write_bytes(data)
-        patch.setattr(cli, "CHUNK_BYTES", chunk_bytes)
-        runs = []
-        for cpus in (1, 2):         # serial, then two mask workers
-            patch.setattr(os, "sched_getaffinity",
-                          lambda pid, n=cpus: set(range(n)))
-            snap = Path(tmp, f"{cpus}.snap")
-            out = io.StringIO()
-            with redirect_stdout(out):
-                code = main(["parse", "--input", str(log), "--masks",
-                             GOLDEN_MASKS, "--snapshot-out", str(snap)])
-            assert code == EXIT_OK
-            runs.append((out.getvalue(), snap.read_bytes()))
-    assert runs[1] == runs[0]
+    serial, pipelined = parse_both_ways(data, read_mask_rules(GOLDEN_MASKS),
+                                        chunk_bytes)
+    assert pipelined == serial
+
+
+# lines whose tokens JSON must escape, and that merge into templates
+hostile_token = st.one_of(
+    st.sampled_from(['"q"', "a\\b", "<*>", "x<*>", "caf\u00e9", "\U0001f600",
+                     "a\u2028b", "\x07", "\x00", "\x7f", "7", "42", "x"]),
+    st.text(st.characters(exclude_categories=("Cs",),
+                          exclude_characters="\r\n"),
+            min_size=1, max_size=4))
+hostile_line = st.lists(hostile_token, max_size=4).map(" ".join)
+
+
+@needs_affinity
+@settings(max_examples=60, deadline=None)
+@given(st.lists(hostile_line, max_size=20), st.booleans(),
+       st.integers(1, 64))
+def test_parse_line_is_compact_json_dumps(lines, masked, chunk_bytes):
+    rules = [r"\d+"] if masked else []
+    data = "".join(line + "\n" for line in lines).encode()
+    serial, pipelined = parse_both_ways(data, rules, chunk_bytes)
+    assert serial[0] == dumps_parse(lines, rules)
+    assert pipelined == serial
+
+
+# a few lines of a few tokens, drawn over and over: so lines repeat
+# exactly, and widen the templates of earlier repeats, in most streams
+short_line = st.lists(st.sampled_from(["a", "b", "7"]), min_size=3,
+                      max_size=3).map(" ".join)
+
+
+@needs_affinity
+@settings(max_examples=150, deadline=None)
+@given(st.lists(short_line, min_size=2, max_size=5).flatmap(
+           lambda pool: st.lists(st.sampled_from(pool), min_size=8,
+                                 max_size=40)),
+       st.integers(1, 64))
+def test_parse_repeats_and_widenings_are_compact_json_dumps(lines,
+                                                            chunk_bytes):
+    data = "".join(line + "\n" for line in lines).encode()
+    serial, pipelined = parse_both_ways(data, [r"\d+"], chunk_bytes)
+    assert serial[0] == dumps_parse(lines, [r"\d+"])
+    assert pipelined == serial
+
+
+@pytest.mark.parametrize("cpus", [1, 3], ids=["serial", "pipelined"])
+def test_parse_writes_a_repeat_of_a_widened_template_anew(
+        cpus, tmp_path, capsys, usable_cpus, chunk_log, monkeypatch):
+    monkeypatch.setattr(cli, "CHUNK_BYTES", 16)
+    log = tmp_path / "raw.log"
+    log.write_text("open file 1 ok\n" * 3 + "open dir 2 ok\n"
+                   "open file 1 ok\n" + "open 3 4 ok\n" * 2)
+    masks = tmp_path / "masks.txt"
+    masks.write_text("\\d+\n")
+    usable_cpus(cpus)
+    code, out, _ = run_cli(capsys, "parse", "--input", str(log), "--masks",
+                           str(masks))
+    assert code == EXIT_OK
+    assert (chunk_log.masked != []) == (cpus > 1)
+    rows = [json.loads(line) for line in out.splitlines()]
+    fields = [(r["template"], r["variables"], r["created_new"])
+              for r in rows]
+    first = ("open file <*> ok", ["<*>"])
+    widened = "open <*> <*> ok"
+    assert fields == [
+        (*first, True), (*first, False), (*first, False),
+        (widened, ["dir", "<*>"], False),
+        # the line of the first three, now under the widened template
+        (widened, ["file", "<*>"], False),
+        # lines that are the widened template's text
+        (widened, ["<*>", "<*>"], False), (widened, ["<*>", "<*>"], False)]
+    assert {r["template_id"] for r in rows} == {1}
+    assert out == dumps_parse(log.read_text().splitlines(), [r"\d+"])
 
 
 @needs_affinity
@@ -917,6 +980,7 @@ def test_bench_missing_column(tmp_path, capsys):
     pytest.param(f"2,{'x' * (csv.field_size_limit() + 1)},E1",
                  id="oversized_field"),
     pytest.param("2,short", id="missing_field"),
+    pytest.param("2,a 1,E1,extra", id="extra_field"),
 ])
 def test_bench_and_sweep_reject_an_unreadable_csv_row(row, tmp_path, capsys):
     path = tmp_path / "bad.csv"

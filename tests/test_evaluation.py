@@ -1,4 +1,5 @@
 import csv
+import errno
 import gc
 import json
 import os
@@ -139,6 +140,17 @@ def test_load_refuses_a_row_short_of_any_column(tmp_path):
     with pytest.raises(DatasetFormatError,
                        match=r"row 2 \(line 3\): fewer fields than the header"):
         load_labeled_dataset(path)
+
+
+def test_load_refuses_a_row_with_more_fields_than_the_header(tmp_path):
+    # an unquoted comma in Content would shift EventId one field right
+    path = tmp_path / "d.csv"
+    path.write_text("LineId,Content,EventId\n"
+                    "1,a 1,E1,extra\n")
+    with pytest.raises(DatasetFormatError) as caught:
+        load_labeled_dataset(path)
+    assert str(caught.value) == \
+        f"{path}: row 1 (line 2): more fields than the header"
 
 
 def test_load_without_template_column(tmp_path):
@@ -303,6 +315,8 @@ def test_throughput_script_keeps_the_old_out_when_its_write_fails(tmp_path):
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1
     assert "File too large" in proc.stderr
+    assert proc.stderr == f"error: [Errno {errno.EFBIG}] " \
+        f"{os.strerror(errno.EFBIG)}\n"
     assert out.read_text() == "the old timings\n"
     assert [p.name for p in tmp_path.iterdir()] == ["timings.csv"]
 
