@@ -65,8 +65,11 @@ def _open_input(path):
     """Raw lines from a file or stdin; undecodable bytes become U+FFFD.
 
     Stdin's buffer is detached from the reader on exit, not closed with it,
-    so the process can still use its stdin."""
+    so the process can still use its stdin.  A stdin closed when the
+    process started, which Python leaves None, is an OSError."""
     stdin = path == "-"
+    if stdin and sys.stdin is None:
+        raise OSError(errno.EBADF, "stdin is closed")
     binary = sys.stdin.buffer if stdin else open(path, "rb")
     reader = io.TextIOWrapper(binary, encoding="utf-8", errors="replace")
     try:
@@ -103,6 +106,8 @@ def _replacing(path, mode="wb", **kwargs):
     if path is None:
         yield None
         return
+    if not path:
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     target = os.path.realpath(path)
@@ -127,19 +132,18 @@ def _replacing(path, mode="wb", **kwargs):
         raise
 
 
-def _mask_chunks(miner, path, reader):
-    """The chunks of `reader`'s file that `parse` masks in worker processes
-    (`_mask_chunk`): `range(ceil(size / CHUNK_BYTES))`, for the size at
-    open.  Empty, so each line of a pipe, FIFO or tty is written as soon
-    as it is read, unless there are mask rules (without them a worker made
-    `parse` slower), the input is a regular file given by path, not stdin,
-    and at least 2 CPUs are usable.  A size of 0, as of an empty file or
-    one under /proc, gives none either, so the file is read serially."""
+def _mask_bytes(miner, path, reader):
+    """How many bytes at the start of `reader`'s file `parse` masks in
+    worker processes (`_mask_chunk`): the file's size at open.  0, so each
+    line of a pipe, FIFO or tty is written as soon as it is read, unless
+    there are mask rules (without them a worker made `parse` slower), the
+    input is a regular file given by path, not stdin, and at least 2 CPUs
+    are usable; an empty file, or one under /proc, gives 0 too."""
     if miner.config.mask_rules and path != "-" and usable_cpus() >= 2:
         info = os.fstat(reader.fileno())
         if stat.S_ISREG(info.st_mode):
-            return range(-(-info.st_size // CHUNK_BYTES))
-    return range(0)
+            return info.st_size
+    return 0
 
 
 def _line_start(fd, offset):
@@ -156,44 +160,44 @@ def _line_start(fd, offset):
     return offset
 
 
-def _mask_chunk(rules, fd, index):
-    """A mask worker's masked lines of chunk `index` of the file at `fd`.
+def _mask_chunk(rules, fd, end, index):
+    """A mask worker's masked lines of chunk `index` of the first `end`
+    bytes of the file at `fd`.
 
     Chunk `index` holds the lines that start in bytes [index * CHUNK_BYTES,
-    (index + 1) * CHUNK_BYTES) of the file, each up to its b"\\n" or the
-    end of the file, so a worker finds both of its ends by reading a few
-    KiB at each, and reads no other chunk.  It reads with `os.pread`,
-    which leaves the descriptor's offset alone, so the workers share the
-    one descriptor the caller opened.  A chunk is decoded as `_open_input`
-    decodes a whole file: it ends just after a b"\\n", so never inside a
-    UTF-8 sequence or a CRLF."""
-    start = _line_start(fd, index * CHUNK_BYTES)
-    # below 0 only if the file was cut short between the two searches
-    size = max(_line_start(fd, (index + 1) * CHUNK_BYTES) - start, 0)
-    lines = io.TextIOWrapper(io.BytesIO(os.pread(fd, size, start)),
-                             encoding="utf-8", errors="replace")
+    (index + 1) * CHUNK_BYTES) of the file, each up to its b"\\n" or byte
+    `end`, so a worker finds both of its ends by reading a few KiB at each,
+    and reads no other chunk.  It reads with `os.pread`, which leaves the
+    descriptor's offset alone, so the workers share the one descriptor the
+    caller opened.  A chunk is decoded as `_open_input` decodes a whole
+    file: it ends just after a b"\\n", or at `end`."""
+    start, stop = (min(_line_start(fd, i * CHUNK_BYTES), end)
+                   for i in (index, index + 1))
+    # stop is below start only if the file is cut short between the searches
+    chunk = io.BytesIO(os.pread(fd, max(stop - start, 0), start))
+    lines = io.TextIOWrapper(chunk, encoding="utf-8", errors="replace")
     return [preprocess(line.rstrip("\r\n"), rules) for line in lines]
 
 
-def _masked_lines(miner, reader, chunks):
+def _masked_lines(miner, reader, end):
     """Each line of `reader` as `miner`'s mask rules leave it, in input
-    order, as `process_message` masks it.  Without `chunks` the lines are
-    masked here as they are read, so a file that grows is read to its end.
-    With them, two forked processes mask those chunks of the file ahead of
-    the caller (`_mask_chunk`), so only the lines that start in the chunks
-    counted at open are read.  On 2 vCPUs a worker spends about three and
-    a half times as long masking a line as the caller spends on the rest,
-    so two keep both CPUs busy where one left them partly idle; more CPUs,
-    unmeasured, get two as well."""
-    if not chunks:
-        rules = miner._rules
-        for line in reader:
-            yield preprocess(line.rstrip("\r\n"), rules)
-        return
-    masker = partial(_mask_chunk, miner._rules, reader.fileno())
-    with closing(forked_map(masker, chunks, 2)) as masked:
-        for lines in masked:
-            yield from lines
+    order, as `process_message` masks it.  Two forked processes mask the
+    chunks of the first `end` bytes ahead of the caller (`_mask_chunk`),
+    and the caller masks the lines from there on as it reads them, so a
+    file that grows is read to its end.  On 2 vCPUs a worker spends about
+    three and a half times as long masking a line as the caller spends on
+    the rest, so two keep both CPUs busy where one left them partly idle;
+    more CPUs, unmeasured, get two as well."""
+    rules = miner._rules
+    if end:
+        masker = partial(_mask_chunk, rules, reader.fileno(), end)
+        with closing(forked_map(masker, range(-(-end // CHUNK_BYTES)),
+                                2)) as masked:
+            for lines in masked:
+                yield from lines
+        reader.seek(end)
+    for line in reader:
+        yield preprocess(line.rstrip("\r\n"), rules)
 
 
 def cmd_parse(args):
@@ -229,7 +233,7 @@ def cmd_parse(args):
         start = time.perf_counter()
         n = 0
         with _open_input(args.input) as fh, closing(_masked_lines(
-                miner, fh, _mask_chunks(miner, args.input, fh))) as lines:
+                miner, fh, _mask_bytes(miner, args.input, fh))) as lines:
             for n, masked in enumerate(lines, 1):
                 result = structure(masked)
                 tail = tails.get(masked)
@@ -366,6 +370,10 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
+        # every command writes its result to stdout, which Python leaves
+        # None when the process starts with it closed
+        if sys.stdout is None:
+            raise OSError(errno.EBADF, "stdout is closed")
         return args.func(args)
     except SnapshotError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -177,17 +177,28 @@ def test_parse_snapshot_in_refuses_miner_flags(flag, raw_file, tmp_path,
     assert not out_snap.exists()
 
 
-@pytest.mark.parametrize("target", ["missing/state.bin", "."],
-                         ids=["missing-dir", "directory"])
+def in_a_directory_of_its_own(tmp_path, monkeypatch):
+    """Make a new empty directory under `tmp_path` the working directory,
+    and return every path under `tmp_path`.  An empty output path once put
+    a temporary file in the working directory's parent."""
+    (tmp_path / "cwd").mkdir()
+    monkeypatch.chdir(tmp_path / "cwd")
+    return sorted(tmp_path.rglob("*"))
+
+
+@pytest.mark.parametrize("target", ["missing/state.bin", ".", ""],
+                         ids=["missing-dir", "directory", "empty-path"])
 def test_parse_refuses_an_unwritable_snapshot_out_before_reading(
-        target, raw_file, tmp_path, capsys):
-    snap = tmp_path / target
+        target, raw_file, tmp_path, capsys, monkeypatch):
+    files = in_a_directory_of_its_own(tmp_path, monkeypatch)
+    snap = str(tmp_path / target) if target else ""
     code, out, err = run_cli(capsys, "parse", "--input", raw_file,
-                             "--snapshot-out", str(snap))
+                             "--snapshot-out", snap)
     assert code == EXIT_IO
     assert out == ""
     assert err.startswith("error: ") and str(snap) in err
     assert len(err.splitlines()) == 1
+    assert sorted(tmp_path.rglob("*")) == files
 
 
 def test_parse_resumes_a_snapshot_in_place(raw_file, tmp_path, capsys):
@@ -549,7 +560,7 @@ def test_parse_workers_read_the_file_parse_opened(long_log, tmp_path, capsys,
     assert chunk_log.masked == CHUNKS_OF_LONG_LOG
 
 
-def test_parse_workers_read_the_chunks_of_the_size_at_open(
+def test_parse_reads_a_growing_file_to_its_end(
         tmp_path, capsys, usable_cpus, chunk_log, monkeypatch):
     # the file ends on a chunk boundary when `parse` counts its chunks, so
     # the lines appended before the workers start begin past its last one
@@ -557,8 +568,6 @@ def test_parse_workers_read_the_chunks_of_the_size_at_open(
     log = tmp_path / "growing.log"
     log.write_bytes(THOUSAND_LINES)
     argv = ("--input", str(log), "--masks", GOLDEN_MASKS)
-    usable_cpus(1)
-    serial = parse_run(capsys, tmp_path, *argv)
     forked_map = cli.forked_map
 
     def appended_first(fn, items, workers):
@@ -568,9 +577,55 @@ def test_parse_workers_read_the_chunks_of_the_size_at_open(
 
     monkeypatch.setattr(cli, "forked_map", appended_first)
     usable_cpus(3)
-    assert parse_run(capsys, tmp_path, *argv) == serial
+    pipelined = parse_run(capsys, tmp_path, *argv)
     assert chunk_log.masked == [514, 486]
     assert log.stat().st_size == len(THOUSAND_LINES) + 12_000
+    usable_cpus(1)
+    serial = parse_run(capsys, tmp_path, *argv)
+    assert pipelined == serial
+    assert serial[0] == EXIT_OK
+    assert serial[1].count(b"\n") == 2000
+
+
+def appended(data):
+    """A change to a file: `data` written at its end."""
+    def append(path):
+        with path.open("ab") as fh:
+            fh.write(data)
+    return append
+
+
+@pytest.mark.parametrize("at_open, change, chunk_bytes, chunks, lines", [
+    (b"a 1\nb 2", appended(b" more 5\nc 3\n"), 200, [2],
+     ["a 1", "b 2", " more 5", "c 3"]),
+    (b"a 1\nb 2\r", appended(b"\nc 3\n"), 200, [2],
+     ["a 1", "b 2", "", "c 3"]),
+    (THOUSAND_LINES, lambda path: os.truncate(path, 4), 6809, [1, 0],
+     ["at 0"])],
+    ids=["no-final-newline", "lone-cr-last", "cut-short"])
+def test_parse_workers_take_the_bytes_present_at_open_and_no_more(
+        at_open, change, chunk_bytes, chunks, lines, tmp_path, capsys,
+        usable_cpus, chunk_log, monkeypatch):
+    """The file changes once `parse` has counted its chunks.  The workers
+    mask the bytes it held at open, up to that size, and the caller reads
+    on from there, so a line or a CRLF cut by that byte reads as two, and
+    no byte is lost or read twice."""
+    monkeypatch.setattr(cli, "CHUNK_BYTES", chunk_bytes)
+    log = tmp_path / "changing.log"
+    log.write_bytes(at_open)
+    forked_map = cli.forked_map
+
+    def changed_first(fn, items, workers):
+        change(log)
+        return forked_map(fn, items, workers)
+
+    monkeypatch.setattr(cli, "forked_map", changed_first)
+    usable_cpus(3)
+    code, out, _ = run_cli(capsys, "parse", "--input", str(log), "--masks",
+                           GOLDEN_MASKS)
+    assert code == EXIT_OK
+    assert chunk_log.masked == chunks
+    assert out == dumps_parse(lines, read_mask_rules(GOLDEN_MASKS))
 
 
 def test_parse_reads_a_file_whose_size_reads_0_to_its_end(
@@ -623,15 +678,15 @@ def test_parse_stdin_stays_serial(monkeypatch, capsys, dying_workers):
 
 
 @pytest.mark.parametrize("source, rules, cpus, want", [
-    ("file", True, 1, 0), ("file", True, 2, 1), ("file", True, 3, 1),
-    ("file", True, 8, 1), ("file", False, 8, 0), ("stdin", True, 8, 0),
+    ("file", True, 1, 0), ("file", True, 2, 30), ("file", True, 3, 30),
+    ("file", True, 8, 30), ("file", False, 8, 0), ("stdin", True, 8, 0),
     ("fifo", True, 8, 0), ("empty", True, 8, 0), ("proc", True, 8, 0)],
     ids=["1-cpu", "2-cpus", "3-cpus", "8-cpus", "no-mask-rules", "stdin",
          "fifo", "empty-file", "proc-file"])
 def test_mask_workers(source, rules, cpus, want, raw_file, tmp_path,
                       monkeypatch):
-    """The chunks `parse` hands its mask workers: `want` of them for the
-    30-byte `raw_file`, or none, so the input is read serially."""
+    """The bytes `parse` hands its mask workers: all 30 of `raw_file`, or
+    none, so the input is read serially."""
     monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
     miner = Miner(MinerConfig(mask_rules=[r"\d+"] if rules else []))
     path, flags = raw_file, os.O_RDONLY
@@ -650,7 +705,7 @@ def test_mask_workers(source, rules, cpus, want, raw_file, tmp_path,
             pytest.skip(f"no {path} on this platform")
     with open(os.open(path, flags), "rb") as reader:
         given = "-" if source == "stdin" else path
-        assert cli._mask_chunks(miner, given, reader) == range(want)
+        assert cli._mask_bytes(miner, given, reader) == want
 
 
 def test_parse_reports_a_dead_mask_worker(long_log, tmp_path, capfd,
@@ -854,6 +909,41 @@ def test_parse_in_dev_mode_with_warnings_as_errors_prints_one_stderr_line(
                         rb" \| \d+\.\d{3}s\n", proc.stderr), proc.stderr
 
 
+@pytest.mark.skipif(os.name != "posix", reason="closes a descriptor in sh")
+@pytest.mark.parametrize("argv, closed", [
+    ([], "<&-"), (["--input", str(GOLDEN_LOG)], ">&-")],
+    ids=["stdin", "stdout"])
+def test_parse_with_stdin_or_stdout_closed_prints_one_error_line(
+        argv, closed, tmp_path):
+    # Python sets sys.stdin or sys.stdout to None for a descriptor closed
+    # at start
+    name = "stdin" if closed == "<&-" else "stdout"
+    proc = subprocess.run(
+        ["sh", "-c", f'exec "$@" {closed}', "sh", sys.executable, "-m",
+         "ustep.cli", "parse", *argv, "--masks", GOLDEN_MASKS,
+         "--snapshot-out", str(tmp_path / "out.snap")],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True,
+        timeout=60)
+    assert proc.returncode == EXIT_IO, proc.stderr
+    assert proc.stderr == \
+        f"error: [Errno {errno.EBADF}] {name} is closed\n".encode()
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["parse", "--input", "x"], ["bench", "--input", "x"],
+    ["sweep", "--input", "x", "--grid", "y"], ["stats", "--snapshot-in", "z"]],
+    ids=["parse", "bench", "sweep", "stats"])
+def test_every_command_refuses_a_closed_stdout_before_it_reads(
+        argv, monkeypatch, capsys):
+    # none of the files named exists, so reading any of them fails
+    monkeypatch.setattr(sys, "stdout", None)
+    code = main(argv)
+    assert code == EXIT_IO
+    assert capsys.readouterr().err == \
+        f"error: [Errno {errno.EBADF}] stdout is closed\n"
+
+
 @needs_affinity
 def test_ctrl_c_gives_one_traceback_from_a_pipelined_parse(long_log):
     proc = subprocess.Popen(
@@ -896,22 +986,26 @@ def test_bench_reports(labeled_file, capsys, tmp_path):
 
 @pytest.mark.parametrize("flag, target", [
     ("--snapshot-out", "missing/out"), ("--timing-csv", "missing/out"),
-    ("--snapshot-out", "."), ("--timing-csv", ".")],
+    ("--snapshot-out", "."), ("--timing-csv", "."),
+    ("--snapshot-out", ""), ("--timing-csv", "")],
     ids=["--snapshot-out", "--timing-csv", "--snapshot-out-directory",
-         "--timing-csv-directory"])
+         "--timing-csv-directory", "--snapshot-out-empty-path",
+         "--timing-csv-empty-path"])
 def test_bench_refuses_an_unwritable_output_before_the_run(
         flag, target, labeled_file, tmp_path, capsys, monkeypatch):
     def run_miner(*args, **kwargs):
         pytest.fail("bench ran the miner before checking its outputs")
 
     monkeypatch.setattr(cli, "run_miner", run_miner)
-    path = tmp_path / target
+    files = in_a_directory_of_its_own(tmp_path, monkeypatch)
+    path = str(tmp_path / target) if target else ""
     code, out, err = run_cli(capsys, "bench", "--input", labeled_file,
-                             flag, str(path))
+                             flag, path)
     assert code == EXIT_IO
     assert out == ""
     assert err.startswith("error: ") and str(path) in err
     assert len(err.splitlines()) == 1
+    assert sorted(tmp_path.rglob("*")) == files
 
 
 def test_bench_snapshot_out_holds_the_streamed_templates(labeled_file,
