@@ -134,15 +134,31 @@ def _replacing(path, mode="wb", **kwargs):
 
 def _mask_bytes(miner, path, reader):
     """How many bytes at the start of `reader`'s file `parse` masks in
-    worker processes (`_mask_chunk`): the file's size at open.  0, so each
-    line of a pipe, FIFO or tty is written as soon as it is read, unless
-    there are mask rules (without them a worker made `parse` slower), the
-    input is a regular file given by path, not stdin, and at least 2 CPUs
-    are usable; an empty file, or one under /proc, gives 0 too."""
+    worker processes (`_mask_chunk`): those up to the last b"\\n" the file
+    holds at open, so a last line still being written is left whole to
+    the caller.  0, so each line of a pipe, FIFO or tty is written as soon
+    as it is read, unless there are mask rules (without them a worker made
+    `parse` slower), the input is a regular file given by path, not stdin,
+    and at least 2 CPUs are usable; an empty file, one under /proc, or one
+    with no b"\\n" gives 0 too."""
     if miner.config.mask_rules and path != "-" and usable_cpus() >= 2:
-        info = os.fstat(reader.fileno())
+        fd = reader.fileno()
+        info = os.fstat(fd)
         if stat.S_ISREG(info.st_mode):
-            return info.st_size
+            return _line_end(fd, info.st_size)
+    return 0
+
+
+def _line_end(fd, size):
+    """Just past the last b"\\n" in the first `size` bytes of the file open
+    at `fd`, or 0 if there is none, found by reading a few KiB at a time
+    backwards with `os.pread`."""
+    while size:
+        start = max(size - 4096, 0)
+        found = os.pread(fd, size - start, start).rfind(b"\n")
+        if found >= 0:
+            return start + found + 1
+        size = start
     return 0
 
 
@@ -165,12 +181,12 @@ def _mask_chunk(rules, fd, end, index):
     bytes of the file at `fd`.
 
     Chunk `index` holds the lines that start in bytes [index * CHUNK_BYTES,
-    (index + 1) * CHUNK_BYTES) of the file, each up to its b"\\n" or byte
-    `end`, so a worker finds both of its ends by reading a few KiB at each,
-    and reads no other chunk.  It reads with `os.pread`, which leaves the
-    descriptor's offset alone, so the workers share the one descriptor the
-    caller opened.  A chunk is decoded as `_open_input` decodes a whole
-    file: it ends just after a b"\\n", or at `end`."""
+    (index + 1) * CHUNK_BYTES) of the file, each up to its b"\\n", and
+    `end` is just past one (`_mask_bytes`), so a worker finds both of its
+    ends by reading a few KiB at each, and reads no other chunk.  It reads
+    with `os.pread`, which leaves the descriptor's offset alone, so the
+    workers share the one descriptor the caller opened.  A chunk is decoded
+    as `_open_input` decodes a whole file: it ends just after a b"\\n"."""
     start, stop = (min(_line_start(fd, i * CHUNK_BYTES), end)
                    for i in (index, index + 1))
     # stop is below start only if the file is cut short between the searches

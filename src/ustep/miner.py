@@ -151,7 +151,9 @@ class MessageCost:
     every message; copy them to keep them past the next call.  `simf_evals`
     counts the templates scored, and scoring stops at the first perfect
     score; no leaf holds more than phi + 1 templates, so
-    `simf_evals <= phi + 1`.
+    `simf_evals <= phi + 1`.  `pivot_scans` is the size of the token
+    matrix of the leaf the message split (templates x length, 0 if none),
+    which bounds the token comparisons of its pivot scan.
     """
 
     descent_steps: int = 0
@@ -197,10 +199,13 @@ def select_pivot(templates, excluded=()):
     Diversity of a position is the number of distinct token values there
     (the wildcard counts as one value).  Positions in `excluded` are
     never chosen; if no position has diversity >= 2 the leaf cannot be
-    split and None is returned.  Ties break toward the lowest position.
+    split and None is returned.  Ties break toward the lowest position,
+    so the scan stops at the first position where every template holds a
+    different value: no later one can beat it.
     """
     best_pos = None
     best_div = 1
+    most = len(templates)
     for j, column in enumerate(zip(*[t.tokens for t in templates])):
         if j in excluded:
             continue
@@ -208,6 +213,8 @@ def select_pivot(templates, excluded=()):
         if div > best_div:
             best_div = div
             best_pos = j
+            if div == most:
+                break
     return best_pos
 
 
@@ -313,9 +320,11 @@ class Miner:
         internal node keyed on a pivot.
 
         The pivots above it come from walking `tokens` again: nodes keep no
-        parent link, so no tree holds a reference cycle.  Returns the token
-        comparisons of the pivot scan; a leaf with no usable pivot is kept
-        with its phi + 1 templates.
+        parent link, so no tree holds a reference cycle.  Returns the size
+        of the leaf's token matrix, templates x length, which bounds the
+        token comparisons of the pivot scan (`select_pivot` may stop
+        sooner); a leaf with no usable pivot is kept with its phi + 1
+        templates.
         """
         excluded = set()
         node = self.root.children[len(tokens)]

@@ -356,8 +356,9 @@ def test_restored_wildcards_are_the_one_wildcard_object(mode):
 
 # -- parse with mask workers --------------------------------------------------
 
-#: lines `parse` reads in each chunk of `long_log`
-CHUNKS_OF_LONG_LOG = [1036, 1002, 1002, 1002, 997, 1003, 339]
+#: lines the mask workers read in each chunk of `long_log`; the log ends
+#: without a newline, so the caller reads its last line
+CHUNKS_OF_LONG_LOG = [1036, 1002, 1002, 1002, 997, 1003, 338]
 
 
 @pytest.fixture
@@ -365,8 +366,8 @@ def long_log(tmp_path, monkeypatch):
     """parse_golden.log 20 times over, 126,640 bytes, with CHUNK_BYTES set
     to 20,000: so six full chunks and a partial one, each holding
     undecodable bytes, CRLF and lone CR.  A lone CR ends a line too, so
-    `parse` reads 6,381 lines, split among the chunks as in
-    CHUNKS_OF_LONG_LOG."""
+    `parse` reads 6,381 lines: the last after the workers' chunks, and the
+    rest split among them as in CHUNKS_OF_LONG_LOG."""
     monkeypatch.setattr(cli, "CHUNK_BYTES", 20_000)
     path = tmp_path / "long.log"
     path.write_bytes(GOLDEN_LOG.read_bytes() * 20)
@@ -425,7 +426,7 @@ def parse_run(capsys, tmp_path, *argv):
 
 @pytest.mark.parametrize("mode, cpus, chunks", [
     ("default", 1, []), ("masks", 1, []), ("strict", 1, []),
-    ("masks", 3, [320]), ("strict", 3, [320])],
+    ("masks", 3, [319]), ("strict", 3, [319])],
     ids=["default", "masks", "strict", "masks-pipelined", "strict-pipelined"])
 def test_parse_matches_golden_output(mode, cpus, chunks, tmp_path, capsys,
                                      usable_cpus, chunk_log, no_child_left):
@@ -503,8 +504,9 @@ PROC_FILE = "/proc/self/mounts"
     # 13,618 bytes, so the file ends exactly on a chunk boundary
     (THOUSAND_LINES, 6809, [514, 486]),
     (THOUSAND_LINES + b"at 0x3e8: 1000\n", 6809, [514, 486, 1]),
-    (b"a 1\nb 2", 200, [2]),
-    (b"a 1\nb 2\r", 200, [2]),
+    # the caller reads the line after the last b"\n" at open
+    (b"a 1\nb 2", 200, [1]),
+    (b"a 1\nb 2\r", 200, [1]),
     (b"a 1\n" * 999 + b"b 2\r\n\rc 3\n", 4001, [1000, 2]),
     (b"abcdefg 1\n" * 9, 25, [3, 2, 3, 1]),
     (b"abcdefg 1\n" * 5, 20, [2, 2, 1]),
@@ -516,7 +518,7 @@ PROC_FILE = "/proc/self/mounts"
     # CHUNK_BYTES // 20,000 + 1 = 7 to a chunk; then the golden log
     # 60 times over, 379,920 bytes in 3 chunks
     ((b"x" * 19_997 + b" 1\n") * 40, None, [7, 7, 6, 7, 6, 7, 0]),
-    (GOLDEN_LOG.read_bytes() * 60, None, [6611, 6618, 5912])],
+    (GOLDEN_LOG.read_bytes() * 60, None, [6611, 6618, 5911])],
     ids=["empty", "1000-lines", "1001-lines", "no-final-newline",
          "lone-cr-last", "cr-starts-a-chunk", "boundary-mid-line",
          "boundary-after-a-newline", "boundary-inside-a-crlf",
@@ -596,10 +598,10 @@ def appended(data):
 
 
 @pytest.mark.parametrize("at_open, change, chunk_bytes, chunks, lines", [
-    (b"a 1\nb 2", appended(b" more 5\nc 3\n"), 200, [2],
-     ["a 1", "b 2", " more 5", "c 3"]),
-    (b"a 1\nb 2\r", appended(b"\nc 3\n"), 200, [2],
-     ["a 1", "b 2", "", "c 3"]),
+    (b"a 1\nb 2", appended(b" more 5\nc 3\n"), 200, [1],
+     ["a 1", "b 2 more 5", "c 3"]),
+    (b"a 1\nb 2\r", appended(b"\nc 3\n"), 200, [1],
+     ["a 1", "b 2", "c 3"]),
     (THOUSAND_LINES, lambda path: os.truncate(path, 4), 6809, [1, 0],
      ["at 0"])],
     ids=["no-final-newline", "lone-cr-last", "cut-short"])
@@ -607,9 +609,10 @@ def test_parse_workers_take_the_bytes_present_at_open_and_no_more(
         at_open, change, chunk_bytes, chunks, lines, tmp_path, capsys,
         usable_cpus, chunk_log, monkeypatch):
     """The file changes once `parse` has counted its chunks.  The workers
-    mask the bytes it held at open, up to that size, and the caller reads
-    on from there, so a line or a CRLF cut by that byte reads as two, and
-    no byte is lost or read twice."""
+    mask the bytes it held at open up to its last b"\\n", and the caller
+    reads on from there, so a line or a CRLF still being written at open
+    reads as the serial path reads it, and no byte is lost or read
+    twice."""
     monkeypatch.setattr(cli, "CHUNK_BYTES", chunk_bytes)
     log = tmp_path / "changing.log"
     log.write_bytes(at_open)
@@ -677,16 +680,27 @@ def test_parse_stdin_stays_serial(monkeypatch, capsys, dying_workers):
         (DATA / "parse_golden.masks.jsonl").read_bytes()
 
 
+#: files `test_mask_workers` reads, by source: only the bytes up to the
+#: last b"\n" go to the workers, and the third's is 10,000 bytes back
+UNTERMINATED = {"no-final-newline": b"Send 500 bytes\nSend 512",
+                "no-newline": b"Send 500 bytes",
+                "long-last-line": b"Send 500 bytes\n" + b"x" * 10_000}
+
+
 @pytest.mark.parametrize("source, rules, cpus, want", [
     ("file", True, 1, 0), ("file", True, 2, 30), ("file", True, 3, 30),
     ("file", True, 8, 30), ("file", False, 8, 0), ("stdin", True, 8, 0),
-    ("fifo", True, 8, 0), ("empty", True, 8, 0), ("proc", True, 8, 0)],
+    ("fifo", True, 8, 0), ("empty", True, 8, 0), ("proc", True, 8, 0),
+    ("no-final-newline", True, 8, 15), ("no-newline", True, 8, 0),
+    ("long-last-line", True, 8, 15)],
     ids=["1-cpu", "2-cpus", "3-cpus", "8-cpus", "no-mask-rules", "stdin",
-         "fifo", "empty-file", "proc-file"])
+         "fifo", "empty-file", "proc-file", "no-final-newline",
+         "no-newline", "long-last-line"])
 def test_mask_workers(source, rules, cpus, want, raw_file, tmp_path,
                       monkeypatch):
-    """The bytes `parse` hands its mask workers: all 30 of `raw_file`, or
-    none, so the input is read serially."""
+    """The bytes `parse` hands its mask workers: all 30 of `raw_file`, the
+    15 up to the last b"\\n" of an unterminated file, or none, so the
+    input is read serially."""
     monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
     miner = Miner(MinerConfig(mask_rules=[r"\d+"] if rules else []))
     path, flags = raw_file, os.O_RDONLY
@@ -703,6 +717,9 @@ def test_mask_workers(source, rules, cpus, want, raw_file, tmp_path,
         path = PROC_FILE
         if not os.path.exists(path):
             pytest.skip(f"no {path} on this platform")
+    elif source in UNTERMINATED:
+        path = str(tmp_path / "unterminated.log")
+        Path(path).write_bytes(UNTERMINATED[source])
     with open(os.open(path, flags), "rb") as reader:
         given = "-" if source == "stdin" else path
         assert cli._mask_bytes(miner, given, reader) == want

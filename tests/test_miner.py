@@ -148,6 +148,54 @@ def test_pivot_respects_exclusions():
     assert select_pivot(tpls, excluded={0}) is None
 
 
+class ReadTokens(list):
+    """A token list that notes in `reads` each position iterated over."""
+
+    def __init__(self, tokens, reads):
+        super().__init__(tokens)
+        self.reads = reads
+
+    def __iter__(self):
+        for j, token in enumerate(list.__iter__(self)):
+            self.reads.append(j)
+            yield token
+
+
+def test_pivot_scan_stops_at_the_first_column_where_every_template_differs(
+        monkeypatch):
+    reads = []
+    tpls = [Template(i, ReadTokens(row, reads)) for i, row in enumerate(
+        [["a", "x", "1", "q"], ["a", "y", "2", "q"], ["b", "z", "3", "r"]])]
+    # diversities (2, 3, 3, 2): position 1 wins, and 2 cannot beat it
+    assert select_pivot(tpls) == 1
+    assert sorted(reads) == [0, 0, 0, 1, 1, 1]
+    reads.clear()
+    assert select_pivot(tpls, excluded={1}) == 2
+    assert max(reads) == 2
+
+    # the same leaf split by a miner: the pivot and pivot_scans are those
+    # of the full scan, and the scan reads no column past the pivot
+    m = Miner(MinerConfig(sigma=0.9, phi=2))
+    for line in ["a x 1 q", "a y 2 q"]:
+        m.process_message(line)
+    leaf = m.root.children[4]
+    for tpl in leaf.templates:
+        tpl.tokens = ReadTokens(tpl.tokens, reads)
+    scanned = []
+
+    def spy(templates, excluded=()):
+        reads.clear()
+        pivot = select_pivot(templates, excluded)
+        scanned.extend(reads)
+        return pivot
+
+    monkeypatch.setattr(miner_module, "select_pivot", spy)
+    m.process_message("b z 3 r")
+    assert leaf.pivot == 1
+    assert m.last_cost.pivot_scans == 3 * 4
+    assert sorted(scanned) == [0, 0, 1, 1]
+
+
 # -- descent ---------------------------------------------------------------
 
 def test_descend_creates_length_leaf():

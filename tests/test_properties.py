@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 
 from synth import make_mixed_corpus, replace_at
 from ustep.miner import (Miner, MinerConfig, ParseResult, SnapshotError,
-                         Template, sim_f, update_template)
+                         Template, select_pivot, sim_f, update_template)
 from ustep.tokens import WILDCARD, compile_rules, preprocess, render, tokenize
 
 token = st.one_of(st.just(WILDCARD),
@@ -45,6 +45,33 @@ def test_sim_matches_loop_reference(pairs, strict):
 def test_strict_never_exceeds_lenient(tokens):
     tpl = list(reversed(tokens))
     assert sim_f(tokens, tpl, True) <= sim_f(tokens, tpl, False)
+
+
+def pivot_oracle(rows, excluded):
+    """The lowest position of the largest count of distinct values among
+    `rows` outside `excluded`, or None if that count is below 2."""
+    diversity = {j: len({row[j] for row in rows})
+                 for j in range(len(rows[0]) if rows else 0)
+                 if j not in excluded}
+    most = max(diversity.values(), default=0)
+    return min(j for j, d in diversity.items() if d == most) \
+        if most >= 2 else None
+
+
+# a leaf's token matrix: 0-6 templates of one length, with few values, so
+# columns repeat values and some have a different value in every row
+pivot_case = st.integers(0, 6).flatmap(lambda length: st.tuples(
+    st.lists(st.lists(st.sampled_from(["a", "b", "c", "d", "e", WILDCARD]),
+                      min_size=length, max_size=length), max_size=6),
+    st.sets(st.integers(0, length))))
+
+
+@settings(max_examples=300)
+@given(pivot_case)
+def test_select_pivot_is_the_first_most_diverse_position(case):
+    rows, excluded = case
+    tpls = [Template(i, list(row)) for i, row in enumerate(rows, 1)]
+    assert select_pivot(tpls, excluded) == pivot_oracle(rows, excluded)
 
 
 @given(st.lists(literal_token, min_size=1, max_size=12), st.data())
