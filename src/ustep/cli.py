@@ -228,7 +228,8 @@ def cmd_parse(args):
     replaces its memo, which it does on every change to the tree or a
     template, creation included, and a line whose own call replaced the
     memo is not kept.  So `tails` holds no stale text, and no line the
-    memo does not hold."""
+    memo does not hold: a line found there is only counted
+    (`Miner._repeat`), and no `ParseResult` is built for it."""
     with _replacing(args.snapshot_out) as snapshot_out:
         if args.snapshot_in:
             given = [flag for flag, value in (
@@ -244,16 +245,16 @@ def cmd_parse(args):
             miner = Miner(_build_config(args))
         quote = encode_basestring_ascii
         write = sys.stdout.write
-        structure = miner._structure
+        structure, repeat = miner._structure, miner._repeat
         memo, tails = miner._exact, {}
         start = time.perf_counter()
         n = 0
         with _open_input(args.input) as fh, closing(_masked_lines(
                 miner, fh, _mask_bytes(miner, args.input, fh))) as lines:
             for n, masked in enumerate(lines, 1):
-                result = structure(masked)
                 tail = tails.get(masked)
                 if tail is None:
+                    result = structure(masked)
                     tail = (f'"template_id":{result.template_id},"template":'
                             f'{quote(result.template_text)},"variables":'
                             f'[{",".join(map(quote, result.variables))}],'
@@ -263,6 +264,8 @@ def cmd_parse(args):
                         memo, tails = miner._exact, {}
                     elif masked == result.template_text:
                         tails[masked] = tail
+                else:
+                    repeat(masked)
                 write(f'{{"line_no":{n},{tail}')
         if snapshot_out:
             snapshot_out.write(miner.snapshot())

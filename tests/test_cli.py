@@ -4,6 +4,7 @@ import gc
 import io
 import json
 import os
+import random
 import re
 import signal
 import stat
@@ -11,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 from contextlib import closing, contextmanager, redirect_stdout
 from pathlib import Path
 
@@ -23,7 +25,7 @@ from ustep import cli
 from ustep.cli import EXIT_IO, EXIT_OK, EXIT_SNAPSHOT, EXIT_USAGE, main
 from ustep.evaluation import DatasetFormatError, load_labeled_dataset
 from ustep.miner import Miner, MinerConfig
-from ustep.tokens import WILDCARD, read_mask_rules
+from ustep.tokens import WILDCARD, preprocess, read_mask_rules
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 DATA = Path(__file__).resolve().parent / "data"
@@ -867,6 +869,34 @@ def test_parse_repeats_and_widenings_are_compact_json_dumps(lines,
     data = "".join(line + "\n" for line in lines).encode()
     serial, pipelined = parse_both_ways(data, [r"\d+"], chunk_bytes)
     assert serial[0] == dumps_parse(lines, [r"\d+"])
+    assert pipelined == serial
+
+
+@needs_affinity
+def test_parse_builds_a_result_only_for_a_line_it_has_no_tail_for(
+        monkeypatch):
+    rng = random.Random(23)
+    pool = ["open file 1 ok", "open file <*> ok", "open dir 2 ok",
+            "open <*> <*> ok", "close 3", "close <*>", ""]
+    lines = [rng.choice(pool) for _ in range(300)]
+    rules = [r"\d+"]
+    # a line gets a tail once the memo holds it, and loses it with the memo
+    twin = Miner(MinerConfig(mask_rules=rules))
+    untailed = 0
+    for line in lines:
+        untailed += preprocess(line, twin._rules) not in twin._exact
+        twin.process_message(line)
+    assert 0 < untailed < len(lines) // 2
+    structured = []
+    structure = Miner._structure
+    monkeypatch.setattr(Miner, "_structure", lambda self, masked: (
+        structured.append(self) or structure(self, masked)))
+    data = "".join(line + "\n" for line in lines).encode()
+    serial, pipelined = parse_both_ways(data, rules, 256)
+    # one count per parse run: serial, then with two mask workers
+    assert list(Counter(structured).values()) == [untailed, untailed]
+    monkeypatch.undo()
+    assert serial == (dumps_parse(lines, rules), twin.snapshot())
     assert pipelined == serial
 
 

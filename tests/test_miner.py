@@ -111,6 +111,27 @@ def test_render_is_cached_until_a_position_turns_wildcard():
     assert tpl.render() is widened
 
 
+def test_wildcard_positions_are_cached_until_a_position_turns_wildcard():
+    m = Miner()
+    assert m.process_message("Send 500 bytes to a").variables == []
+    tpl = next(m.iter_leaves()).templates[0]
+    assert tpl._slots == ()
+    assert m.process_message("Send 512 bytes to a").variables == ["512"]
+    assert tpl._slots == (1,)
+    # render() leaves the positions to the next result
+    update_template(tpl, ["Send", "9", "bytes", "to", "b"])
+    assert tpl._slots is None and tpl._text is None
+    assert tpl.render() == "Send <*> bytes to <*>"
+    assert tpl._slots is None
+    assert m.process_message("Send 7 bytes to c").variables == ["7", "c"]
+    assert tpl._slots == (1, 4)
+    fresh = Template(tpl.id, list(tpl.tokens), tpl.match_count)
+    assert tpl == fresh and repr(tpl) == repr(fresh)
+    slots = tpl._slots
+    update_template(tpl, ["Send", "8", "bytes", "to", "d"])
+    assert tpl._slots is slots
+
+
 # -- pivot selection -------------------------------------------------------
 
 def test_pivot_picks_most_diverse_position():
@@ -604,6 +625,26 @@ def test_an_exact_repeat_skips_match(monkeypatch):
     assert m.templates() == [(1, "user <*> logged in", 10),
                              (2, "disk full", 1)]
     assert m.stats.messages_processed == 11
+
+
+def test_repeat_counts_a_memo_held_line_as_structure_does():
+    a, b = Miner(MinerConfig(phi=1)), Miner(MinerConfig(phi=1))
+    # creations, a split and a widening first, then one line per template
+    # that is its text, so the memo holds lines at depths 1 and 2
+    for line in ["a b x", "c d y", "user 1 logged in", "user 2 logged in",
+                 "", "a b x", "c d y", "user <*> logged in", ""]:
+        a.process_message(line)
+        b.process_message(line)
+    memo = a._exact
+    assert sorted(memo) == ["", "a b x", "c d y", "user <*> logged in"]
+    for line in sorted(memo) * 2 + ["a b x", "", "", "c d y"]:
+        assert a._repeat(line) is None
+        b._structure(line)
+        assert vars(a.last_cost) == vars(b.last_cost)
+        assert vars(a.stats) == vars(b.stats)
+        assert a.templates() == b.templates()
+        assert a._exact is memo
+    assert a.snapshot() == b.snapshot()
 
 
 # -- stats -----------------------------------------------------------------

@@ -317,3 +317,44 @@ def test_exact_line_memo_replays_match(lines, sigma, phi, strict, masked):
         assert vars(miner.stats) == vars(twin.stats)
         assert len(miner._exact) <= miner.stats.template_count
     assert miner.snapshot() == twin.snapshot()
+
+
+@settings(max_examples=150, deadline=None)
+@given(repeating_stream, st.floats(0, 1), st.integers(1, 3), st.booleans(),
+       st.booleans(), st.data())
+def test_cached_wildcard_positions_give_the_zip_variables(
+        lines, sigma, phi, strict, masked, data):
+    config = dict(sigma=sigma, phi=phi, mask_rules=MASKS if masked else [],
+                  strict_wildcard_sim=strict)
+    miner, twin = Miner(MinerConfig(**config)), Miner(MinerConfig(**config))
+    restore_at = data.draw(st.integers(0, len(lines)), label="restore at")
+    widen_at = data.draw(st.sets(st.integers(0, len(lines) - 1)),
+                         label="widen at")
+    for i, line in enumerate(lines):
+        if i == restore_at:
+            miner = Miner.restore(miner.snapshot())
+        if i in widen_at:
+            # widen a held template at one position, in both miners, as a
+            # merge of a line that differs there: count it as a message
+            held = [(t, u) for a, b in zip(miner.iter_leaves(),
+                                           twin.iter_leaves())
+                    for t, u in zip(a.templates, b.templates) if t.tokens]
+            if held:
+                tpl, other = data.draw(st.sampled_from(held))
+                assert tpl.id == other.id
+                tokens = list(tpl.tokens)
+                tokens[data.draw(st.integers(0, len(tokens) - 1))] = "z"
+                for m, t in ((miner, tpl), (twin, other)):
+                    update_template(t, tokens)
+                    m.stats.messages_processed += 1
+                # the memo is keyed on the template's old text, and a
+                # change made outside the miner does not drop it
+                miner._exact = {}
+        got = miner.process_message(line)
+        assert got == _matched(twin, preprocess(line, twin._rules))
+        assert vars(miner.last_cost) == vars(twin.last_cost)
+    assert miner.snapshot() == twin.snapshot()
+    for leaf in miner.iter_leaves():
+        for tpl in leaf.templates:
+            fresh = Template(tpl.id, list(tpl.tokens), tpl.match_count)
+            assert tpl == fresh and repr(tpl) == repr(fresh)
