@@ -7,7 +7,9 @@ similarity threshold or spawns a new one; leaves holding more than `phi`
 templates are split into internal nodes on their most diverse token
 position.  A leaf whose split fails keeps its `phi + 1` templates and
 merges every later line into its best template, so no message scores more
-than `phi + 1` templates.
+than `phi + 1` templates.  Scoring a template stops at the first miss that
+puts it out of reach: it would agree at too few positions to beat the best
+so far, or to score above the threshold.
 """
 
 import gc
@@ -157,11 +159,12 @@ class MessageCost:
 
     A miner keeps one instance as `last_cost` and overwrites its fields on
     every message; copy them to keep them past the next call.  `simf_evals`
-    counts the templates scored, and scoring stops at the first perfect
-    score; no leaf holds more than phi + 1 templates, so
-    `simf_evals <= phi + 1`.  `pivot_scans` is the size of the token
-    matrix of the leaf the message split (templates x length, 0 if none),
-    which bounds the token comparisons of its pivot scan.
+    counts the templates visited; scoring one stops at the first miss that
+    puts it out of reach, and the visits stop at the first perfect score.
+    No leaf holds more than phi + 1 templates, so `simf_evals <= phi + 1`.
+    `pivot_scans` is the size of the token matrix of the leaf the message
+    split (templates x length, 0 if none), which bounds the token
+    comparisons of its pivot scan.
     """
 
     descent_steps: int = 0
@@ -189,17 +192,27 @@ def sim_f(msg_tokens, tpl_tokens, strict):
     return matches / n
 
 
+# positions `update_template` has turned into the wildcard, in any template
+# of any miner; an entry of a miner's exact-line memo holds the count it was
+# made at and is replayed only while the count stays there
+_widenings = 0
+
+
 def update_template(tpl, msg_tokens):
     """Wildcard every position where the message disagrees with the
     template, clearing its cached text and wildcard positions if any
-    position turns.  A miner's exact-line memo is keyed on its templates'
-    texts, so a template a miner holds is only changed through the miner."""
+    position turns.  A turned position also retires every exact-line memo
+    entry made before it, in every miner, since the widened template may
+    now take a line that another template took; so a template a miner
+    holds can be changed here too."""
+    global _widenings
     tokens = tpl.tokens
     for j, mt in enumerate(msg_tokens):
         tt = tokens[j]
         if tt != mt and tt != WILDCARD:
             tokens[j] = WILDCARD
             tpl._text = tpl._slots = None
+            _widenings += 1
     tpl.match_count += 1
     return tpl
 
@@ -243,12 +256,16 @@ class Miner:
         # token a template later widened to the wildcard, so it grows with
         # the templates created, never with the lines merged
         self._tokens = {WILDCARD: WILDCARD}
-        # masked line -> (template, descent steps, sim_f calls, wildcards)
-        # for a line `_match` merged, changing nothing, into the template
-        # whose text it is; `_match` replaces the dict whenever it changes
-        # the tree or a template, and a key is its template's text, so
-        # there is at most one entry per template
+        # masked line -> (template, `_widenings` then, descent steps,
+        # templates scored, wildcards) for a line `_match` merged, changing
+        # nothing, into the template whose text it is; `_match` replaces
+        # the dict whenever it changes the tree or a template, and a key is
+        # its template's text, so there is at most one entry per template
         self._exact = {}
+        # line length -> the fewest agreeing positions k with k / n > sigma,
+        # or n if there are none, which a template in a leaf of at most phi
+        # templates needs to take a line
+        self._need = {}
 
     # -- descent and assignment ----------------------------------------
 
@@ -285,38 +302,65 @@ class Miner:
             node = child
             key = tokens[node.pivot]
         leaf = child
-        best = None
-        best_sim = -1.0
-        evals = 0
-        # a leaf's ids ascend, so the first maximum is the lowest id among
-        # ties, and nothing after a perfect score can beat it
+        templates = leaf.templates
+        n = len(tokens)
+        # A template can win only by agreeing at `need` positions or more:
+        # one more than the best so far, since a leaf's ids ascend and the
+        # first maximum wins, the lowest id among ties; before a best,
+        # enough to score above sigma, or all n, as a perfect score merges
+        # whatever sigma is.  In a leaf past phi the line merges into its
+        # best template whatever it scores, so there any template does.
+        # Scoring a template stops at the miss that puts `need` out of
+        # reach, and nothing after a perfect score can beat it.
+        if len(templates) > self.config.phi:
+            need = 0
+        else:
+            need = self._need.get(n)
+            if need is None:
+                # k / n is sim_f's score for k agreeing positions
+                sigma = self.config.sigma
+                need = self._need[n] = next(
+                    (k for k in range(n) if k / n > sigma), n)
         strict = self.config.strict_wildcard_sim
-        for tpl in leaf.templates:
+        best = None
+        evals = 0
+        for tpl in templates:
             evals += 1
-            s = sim_f(tokens, tpl.tokens, strict)
-            if s > best_sim:
-                best, best_sim = tpl, s
-                if s == 1.0:
+            tt = tpl.tokens
+            if tt == tokens:
+                best, need = tpl, n + 1
+                break
+            slack = n - need   # misses this template can still afford
+            for mt, t in zip(tokens, tt):
+                if mt != t and (strict or t != WILDCARD):
+                    if not slack:
+                        break
+                    slack -= 1
+            else:
+                # it agrees at need + slack positions; at n it scores 1.0
+                best = tpl
+                need += slack + 1
+                if need > n:
                     break
         scans = 0
-        if best_sim == 1.0:
-            # no position disagrees, so updating would change no token
-            best.match_count += 1
-            created = False
-        elif best_sim > self.config.sigma \
-                or len(leaf.templates) > self.config.phi:
-            self._exact = {}
-            update_template(best, tokens)
-            created = False
-        else:
+        if best is None:
+            # no template scored above sigma, and the leaf has room
             self._exact = {}
             stats.template_count += 1
             best = Template(stats.template_count, list(
                 map(self._tokens.setdefault, tokens, tokens)))
-            leaf.templates.append(best)
+            templates.append(best)
             created = True
-            if len(leaf.templates) > self.config.phi:
+            if len(templates) > self.config.phi:
                 scans = self._split(leaf, tokens, steps)
+        elif need > n:
+            # a perfect score: updating would change no token
+            best.match_count += 1
+            created = False
+        else:
+            self._exact = {}
+            update_template(best, tokens)
+            created = False
         cost = self.last_cost
         cost.descent_steps = steps
         cost.simf_evals = evals
@@ -373,32 +417,37 @@ class Miner:
 
         A line that is the text of a template it last merged into, with
         the tree and templates unchanged since, replays that merge from
-        `_exact` without tokenizing, descending or scoring.  Any other
-        line's variables are its tokens at the template's wildcard
-        positions, which the template caches until it widens."""
+        `_exact` without tokenizing, descending or scoring; a position
+        that `update_template` turned since, in any template, retires the
+        entry.  Any other line's variables are its tokens at the
+        template's wildcard positions, which the template caches until it
+        widens."""
         exact = self._exact
         hit = exact.get(masked)
         if hit is not None:
-            tpl, steps, evals, wildcards = hit
-            tpl.match_count += 1
-            cost = self.last_cost
-            cost.descent_steps = steps
-            cost.simf_evals = evals
-            cost.pivot_scans = 0
-            self.stats.messages_processed += 1
-            return ParseResult(tpl.id, tpl._text, [WILDCARD] * wildcards,
-                               False)
+            tpl, widenings, steps, evals, wildcards = hit
+            if widenings == _widenings:
+                tpl.match_count += 1
+                cost = self.last_cost
+                cost.descent_steps = steps
+                cost.simf_evals = evals
+                cost.pivot_scans = 0
+                self.stats.messages_processed += 1
+                return ParseResult(tpl.id, tpl._text,
+                                   [WILDCARD] * wildcards, False)
         tokens = tokenize(masked)
         tpl, created = self._match(tokens)
         text = tpl.render()
         slots = tpl._slots
         if slots is None:
-            slots = tpl._slots = tuple([j for j, tt in enumerate(tpl.tokens)
-                                        if tt == WILDCARD])
+            held = tpl.tokens
+            slots = tpl._slots = tuple(
+                [j for j, tt in enumerate(held) if tt == WILDCARD]
+            ) if WILDCARD in held else ()
         if exact is self._exact and masked == text:
             cost = self.last_cost
-            exact[text] = (tpl, cost.descent_steps, cost.simf_evals,
-                           len(slots))
+            exact[text] = (tpl, _widenings, cost.descent_steps,
+                           cost.simf_evals, len(slots))
         return ParseResult(tpl.id, text, [tokens[j] for j in slots], created)
 
     def _repeat(self, masked):
@@ -410,7 +459,7 @@ class Miner:
         from `_structure`: a call per hit there made every repeated line
         slower for the callers that read the result (parse-steady's
         stream p50 by 2.4%)."""
-        tpl, steps, evals, _ = self._exact[masked]
+        tpl, _, steps, evals, _ = self._exact[masked]
         tpl.match_count += 1
         cost = self.last_cost
         cost.descent_steps = steps

@@ -279,6 +279,19 @@ def test_threshold_is_strict_inequality():
     assert res.created_new
 
 
+@pytest.mark.parametrize("sigma, merges", [(0.8999999999999999, True),
+                                           (0.9, False)])
+def test_threshold_holds_at_the_float_edge(sigma, merges):
+    # 9 of 10 positions agree, and 9 / 10 is 0.9 in floats: above the
+    # largest float under 0.9, not above 0.9
+    m = Miner(MinerConfig(sigma=sigma))
+    m.process_message("a b c d e f g h i j")
+    res = m.process_message("a b c d e f g h i z")
+    assert res.created_new is not merges
+    assert m.templates()[0][1] == ("a b c d e f g h i <*>" if merges
+                                   else "a b c d e f g h i j")
+
+
 def test_tie_breaks_to_lowest_template_id():
     m = Miner(MinerConfig(sigma=0.4, phi=10))
     m.process_message("a b p")   # template 1
@@ -645,6 +658,35 @@ def test_repeat_counts_a_memo_held_line_as_structure_does():
         assert a.templates() == b.templates()
         assert a._exact is memo
     assert a.snapshot() == b.snapshot()
+
+
+def test_an_outside_widening_retires_the_memo_entry_of_its_template():
+    m = Miner()
+    m.process_message("a b c")
+    m.process_message("a b c")   # remembered
+    tpl = m.root.children[3].templates[0]
+    update_template(tpl, ["a", "x", "c"])
+    res = m.process_message("a b c")
+    assert (res.template_id, res.template_text, res.variables,
+            res.created_new) == (1, "a <*> c", ["b"], False)
+
+
+@pytest.mark.parametrize("strict, line", [(False, "a x c"),
+                                          (True, "a <*> c")])
+def test_an_outside_widening_retires_the_memo_entries_of_its_leaf(strict,
+                                                                  line):
+    # template 1 is widened outside the miner until it scores the line
+    # that template 2 took as perfectly, and comes first in their leaf
+    m = Miner(MinerConfig(sigma=0.9, strict_wildcard_sim=strict))
+    m.process_message("a b c")
+    m.process_message(line)
+    m.process_message(line)      # remembered, in template 2
+    first = m.root.children[3].templates[0]
+    update_template(first, ["a", "z", "c"])
+    res = m.process_message(line)
+    assert (res.template_id, res.template_text, res.created_new) \
+        == (1, "a <*> c", False)
+    assert m.last_cost.simf_evals == 1
 
 
 # -- stats -----------------------------------------------------------------

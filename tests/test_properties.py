@@ -235,6 +235,8 @@ def _leaf_of(miner, tokens):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(masked_line, max_size=60), st.floats(0, 1),
        st.integers(1, 4), st.booleans(), st.booleans())
+# sigma 1.0, where no score but a perfect one, here a wildcard's, merges
+@example(["a 7", "a b"], 1.0, 1, False, True)
 def test_scoring_picks_the_first_maximum_of_a_full_scan(
         lines, sigma, phi, strict, masked):
     rules = MASKS if masked else []
@@ -260,6 +262,9 @@ def test_scoring_picks_the_first_maximum_of_a_full_scan(
                 assert tpl.tokens == copy
         else:
             assert result.created_new
+        # every template is visited up to the first perfect score
+        visited = scores.index(1.0) + 1 if 1.0 in scores else len(before)
+        assert miner.last_cost.simf_evals == visited
         for held in miner.iter_leaves():
             ids = [t.id for t in held.templates]
             assert ids == sorted(ids)
@@ -347,9 +352,6 @@ def test_cached_wildcard_positions_give_the_zip_variables(
                 for m, t in ((miner, tpl), (twin, other)):
                     update_template(t, tokens)
                     m.stats.messages_processed += 1
-                # the memo is keyed on the template's old text, and a
-                # change made outside the miner does not drop it
-                miner._exact = {}
         got = miner.process_message(line)
         assert got == _matched(twin, preprocess(line, twin._rules))
         assert vars(miner.last_cost) == vars(twin.last_cost)
