@@ -2,7 +2,6 @@
 
 import csv
 import random
-import statistics
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -195,6 +194,7 @@ def robustness_stats(values):
     if len(vals) == 1:  # quantiles() needs two points before Python 3.13
         q1 = med = q3 = vals[0]
     else:
+        import statistics
         q1, med, q3 = statistics.quantiles(vals, n=4, method="inclusive")
     return RobustnessReport(
         values=vals,

@@ -13,7 +13,6 @@ so far, or to score above the threshold.
 """
 
 import gc
-import json
 from dataclasses import asdict, dataclass, field
 from functools import wraps
 
@@ -509,6 +508,7 @@ class Miner:
             else:
                 stack += ((child, index, key) for key, child
                           in reversed(node.children.items()))
+        import json
         payload = {
             "magic": SNAPSHOT_MAGIC,
             "version": SNAPSHOT_VERSION,
@@ -525,6 +525,7 @@ class Miner:
         """Rebuild a miner from snapshot bytes; replay-equivalent to the
         original.  Raises SnapshotError on corrupt or mismatched input.
         The cyclic collector is paused meanwhile."""
+        import json
         try:
             payload = json.loads(data.decode("utf-8"))
         except (UnicodeDecodeError, ValueError, RecursionError) as exc:
