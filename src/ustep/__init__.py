@@ -13,7 +13,6 @@ from .miner import (
     Template,
     select_pivot,
     sim_f,
-    update_template,
 )
 from .tokens import (
     WILDCARD,
@@ -33,7 +32,7 @@ _EVALUATION = (
 
 __all__ = [
     "Miner", "MinerConfig", "MinerStats", "ParseResult", "SnapshotError",
-    "Template", "select_pivot", "sim_f", "update_template",
+    "Template", "select_pivot", "sim_f",
     "WILDCARD", "ConfigError", "preprocess", "render", "tokenize",
     *_EVALUATION,
 ]

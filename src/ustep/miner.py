@@ -99,11 +99,11 @@ class MinerConfig:
 class Template:
     """A token skeleton with wildcard slots; ids are stable and unique.
 
-    Two caches ride along, both unset until first read and both cleared by
-    `update_template` when it turns a position into a wildcard: `_text`,
-    the rendered text, and `_slots`, the wildcard positions in ascending
-    order, which `Miner._structure` fills to pick a line's variables.
-    Neither is part of equality, repr or a snapshot."""
+    Two caches ride along, both unset until first read and both cleared
+    when the miner widens the template, turning a position into a
+    wildcard: `_text`, the rendered text, and `_slots`, the wildcard
+    positions in ascending order, which `Miner._structure` fills to pick a
+    line's variables.  Neither is part of equality, repr or a snapshot."""
 
     id: int
     tokens: list
@@ -113,8 +113,7 @@ class Template:
                           compare=False)
 
     def render(self):
-        """The template's text, cached until `update_template` turns one
-        of its positions into a wildcard."""
+        """The template's text, cached until the template widens."""
         if self._text is None:
             self._text = render(self.tokens)
         return self._text
@@ -177,7 +176,8 @@ def sim_f(msg_tokens, tpl_tokens, strict):
     With strict=False a template wildcard also counts as agreeing with
     any message token.  Equal lists score 1.0 at once, in either mode: they
     agree at every position, wildcards included.  Lengths must match; two
-    empty lists are equal.
+    empty lists are equal.  `Miner._match` applies this rule inline, with
+    an early stop; `sim_f` remains the tests' oracle for it.
     """
     if msg_tokens == tpl_tokens:
         return 1.0
@@ -191,29 +191,22 @@ def sim_f(msg_tokens, tpl_tokens, strict):
     return matches / n
 
 
-# positions `update_template` has turned into the wildcard, in any template
-# of any miner; an entry of a miner's exact-line memo holds the count it was
-# made at and is replayed only while the count stays there
-_widenings = 0
-
-
 def update_template(tpl, msg_tokens):
     """Wildcard every position where the message disagrees with the
     template, clearing its cached text and wildcard positions if any
-    position turns.  A turned position also retires every exact-line memo
-    entry made before it, in every miner, since the widened template may
-    now take a line that another template took; so a template a miner
-    holds can be changed here too."""
-    global _widenings
+    position turns, and say whether one did.  This is the miner's own
+    widening step: only the miner that holds a template widens it, since
+    its exact-line memo is correct only while it sees every change."""
+    turned = False
     tokens = tpl.tokens
     for j, mt in enumerate(msg_tokens):
         tt = tokens[j]
         if tt != mt and tt != WILDCARD:
             tokens[j] = WILDCARD
             tpl._text = tpl._slots = None
-            _widenings += 1
+            turned = True
     tpl.match_count += 1
-    return tpl
+    return turned
 
 
 def select_pivot(templates, excluded=()):
@@ -255,11 +248,11 @@ class Miner:
         # token a template later widened to the wildcard, so it grows with
         # the templates created, never with the lines merged
         self._tokens = {WILDCARD: WILDCARD}
-        # masked line -> (template, `_widenings` then, descent steps,
-        # templates scored, wildcards) for a line `_match` merged, changing
-        # nothing, into the template whose text it is; `_match` replaces
-        # the dict whenever it changes the tree or a template, and a key is
-        # its template's text, so there is at most one entry per template
+        # masked line -> (template, descent steps, templates scored) for a
+        # line `_match` merged, changing nothing, into the template whose
+        # text it is; `_match` replaces the dict whenever it changes the
+        # tree or a template, and a key is its template's text, so there is
+        # at most one entry per template
         self._exact = {}
         # line length -> the fewest agreeing positions k with k / n > sigma,
         # or n if there are none, which a template in a leaf of at most phi
@@ -357,8 +350,8 @@ class Miner:
             best.match_count += 1
             created = False
         else:
-            self._exact = {}
-            update_template(best, tokens)
+            if update_template(best, tokens):
+                self._exact = {}
             created = False
         cost = self.last_cost
         cost.descent_steps = steps
@@ -416,24 +409,22 @@ class Miner:
 
         A line that is the text of a template it last merged into, with
         the tree and templates unchanged since, replays that merge from
-        `_exact` without tokenizing, descending or scoring; a position
-        that `update_template` turned since, in any template, retires the
-        entry.  Any other line's variables are its tokens at the
-        template's wildcard positions, which the template caches until it
-        widens."""
+        `_exact` without tokenizing, descending or scoring.  Any other
+        line's variables are its tokens at the template's wildcard
+        positions, which the template caches until it widens; an entry is
+        made only once they are cached, and a widening empties the memo."""
         exact = self._exact
         hit = exact.get(masked)
         if hit is not None:
-            tpl, widenings, steps, evals, wildcards = hit
-            if widenings == _widenings:
-                tpl.match_count += 1
-                cost = self.last_cost
-                cost.descent_steps = steps
-                cost.simf_evals = evals
-                cost.pivot_scans = 0
-                self.stats.messages_processed += 1
-                return ParseResult(tpl.id, tpl._text,
-                                   [WILDCARD] * wildcards, False)
+            tpl, steps, evals = hit
+            tpl.match_count += 1
+            cost = self.last_cost
+            cost.descent_steps = steps
+            cost.simf_evals = evals
+            cost.pivot_scans = 0
+            self.stats.messages_processed += 1
+            return ParseResult(tpl.id, tpl._text,
+                               [WILDCARD] * len(tpl._slots), False)
         tokens = tokenize(masked)
         tpl, created = self._match(tokens)
         text = tpl.render()
@@ -445,8 +436,7 @@ class Miner:
             ) if WILDCARD in held else ()
         if exact is self._exact and masked == text:
             cost = self.last_cost
-            exact[text] = (tpl, _widenings, cost.descent_steps,
-                           cost.simf_evals, len(slots))
+            exact[text] = (tpl, cost.descent_steps, cost.simf_evals)
         return ParseResult(tpl.id, text, [tokens[j] for j in slots], created)
 
     def _repeat(self, masked):
@@ -458,7 +448,7 @@ class Miner:
         from `_structure`: a call per hit there made every repeated line
         slower for the callers that read the result (parse-steady's
         stream p50 by 2.4%)."""
-        tpl, _, steps, evals, _ = self._exact[masked]
+        tpl, steps, evals = self._exact[masked]
         tpl.match_count += 1
         cost = self.last_cost
         cost.descent_steps = steps

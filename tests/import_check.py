@@ -5,10 +5,11 @@ Run in a fresh interpreter against whichever `ustep` the path finds:
     PYTHONPATH=src python tests/import_check.py
 
 It exits non-zero if `import ustep` loads the evaluation harness, `json`
-or a pool module; if a name in `ustep.__all__` does not resolve to the
-object its defining module holds; if a snapshot does not round-trip; or
-if `import ustep.cli` loads `statistics` or a pool module.  Only the
-modules `import ustep` adds count, not those `site` loaded before.
+or a pool module; if `ustep.__all__` lists `update_template`, or a name
+in it does not resolve to the object its defining module holds; if a
+snapshot does not round-trip; or if `import ustep.cli` loads
+`statistics` or a pool module.  Only the modules `import ustep` adds
+count, not those `site` loaded before.
 """
 
 import sys
@@ -20,6 +21,9 @@ added = set(sys.modules) - before
 eager = {"ustep.evaluation", "json", "csv", "statistics", "numpy",
          "concurrent.futures", "multiprocessing"} & added
 assert not eager, f"import ustep loaded {sorted(eager)}"
+
+# only a miner widens its own templates, through ustep.miner
+assert "update_template" not in ustep.__all__, "ustep exports update_template"
 
 missing = set(ustep.__all__) - set(dir(ustep))
 assert not missing, f"dir(ustep) lacks {sorted(missing)}"

@@ -775,10 +775,11 @@ needs_affinity = pytest.mark.skipif(
     reason="parse forks a mask worker only where os.sched_getaffinity exists")
 
 
-def parse_both_ways(data, rules, chunk_bytes):
+def parse_both_ways(data, rules, chunk_bytes, strict=False):
     """(stdout, --snapshot-out bytes) of `parse` on a file of the raw bytes
-    `data` under the mask `rules`: read serially, then, with `rules`, by
-    two mask workers in chunks of `chunk_bytes`."""
+    `data` under the mask `rules`, with `--strict-sim` if `strict`: read
+    serially, then, with `rules`, by two mask workers in chunks of
+    `chunk_bytes`."""
     with tempfile.TemporaryDirectory() as tmp, \
             pytest.MonkeyPatch.context() as patch:
         raw = Path(tmp, "raw.log")
@@ -794,16 +795,17 @@ def parse_both_ways(data, rules, chunk_bytes):
             out = io.StringIO()
             with redirect_stdout(out):
                 code = main(["parse", "--input", str(raw), "--masks",
-                             str(masks), "--snapshot-out", str(snap)])
+                             str(masks), "--snapshot-out", str(snap)]
+                            + ["--strict-sim"] * strict)
             assert code == EXIT_OK
             runs.append((out.getvalue(), snap.read_bytes()))
     return runs
 
 
-def dumps_parse(lines, rules):
+def dumps_parse(lines, rules, strict=False):
     """What `parse` prints for the raw `lines`: each `process_message`
     result as `json.dumps(fields, separators=(",", ":"))` writes it."""
-    miner = Miner(MinerConfig(mask_rules=rules))
+    miner = Miner(MinerConfig(mask_rules=rules, strict_wildcard_sim=strict))
     want = []
     for n, line in enumerate(lines, 1):
         result = miner.process_message(line)
@@ -863,12 +865,15 @@ short_line = st.lists(st.sampled_from(["a", "b", "7"]), min_size=3,
 @given(st.lists(short_line, min_size=2, max_size=5).flatmap(
            lambda pool: st.lists(st.sampled_from(pool), min_size=8,
                                  max_size=40)),
-       st.integers(1, 64))
+       st.integers(1, 64), st.booleans())
 def test_parse_repeats_and_widenings_are_compact_json_dumps(lines,
-                                                            chunk_bytes):
+                                                            chunk_bytes,
+                                                            strict):
+    # in strict mode a line that misses only at wildcards merges turning
+    # no position, and the cached tails stay
     data = "".join(line + "\n" for line in lines).encode()
-    serial, pipelined = parse_both_ways(data, [r"\d+"], chunk_bytes)
-    assert serial[0] == dumps_parse(lines, [r"\d+"])
+    serial, pipelined = parse_both_ways(data, [r"\d+"], chunk_bytes, strict)
+    assert serial[0] == dumps_parse(lines, [r"\d+"], strict)
     assert pipelined == serial
 
 

@@ -81,7 +81,7 @@ def test_update_monotone(msg_tokens, data):
         for t in msg_tokens
     ]
     tpl = Template(1, list(tpl_tokens))
-    update_template(tpl, msg_tokens)
+    assert update_template(tpl, msg_tokens) == (tpl.tokens != tpl_tokens)
     for before, after, mt in zip(tpl_tokens, tpl.tokens, msg_tokens):
         if before == WILDCARD:
             assert after == WILDCARD
@@ -324,6 +324,22 @@ def test_exact_line_memo_replays_match(lines, sigma, phi, strict, masked):
     assert miner.snapshot() == twin.snapshot()
 
 
+@settings(max_examples=100, deadline=None)
+@given(repeating_stream, repeating_stream, st.integers(1, 3), st.booleans())
+def test_interleaved_miners_each_replay_match(lines_a, lines_b, phi, strict):
+    # each miner's memo is its own: the other's widenings neither retire
+    # its entries nor let one answer for a changed tree
+    pairs = [(Miner(MinerConfig(phi=phi, strict_wildcard_sim=strict)),
+              Miner(MinerConfig(phi=phi, strict_wildcard_sim=strict)))
+             for _ in range(2)]
+    for a_line, b_line in zip(lines_a, lines_b):
+        for (miner, twin), line in zip(pairs, (a_line, b_line)):
+            assert miner.process_message(line) == _matched(twin, line)
+            assert vars(miner.last_cost) == vars(twin.last_cost)
+    for miner, twin in pairs:
+        assert miner.snapshot() == twin.snapshot()
+
+
 @settings(max_examples=150, deadline=None)
 @given(repeating_stream, st.floats(0, 1), st.integers(1, 3), st.booleans(),
        st.booleans(), st.data())
@@ -350,6 +366,7 @@ def test_cached_wildcard_positions_give_the_zip_variables(
                 tokens = list(tpl.tokens)
                 tokens[data.draw(st.integers(0, len(tokens) - 1))] = "z"
                 for m, t in ((miner, tpl), (twin, other)):
+                    m._exact = {}   # as `_match` does when it widens
                     update_template(t, tokens)
                     m.stats.messages_processed += 1
         got = miner.process_message(line)
