@@ -197,13 +197,14 @@ def _mask_chunk(rules, fd, end, index):
 
 def _masked_lines(miner, reader, end):
     """Each line of `reader` as `miner`'s mask rules leave it, in input
-    order, as `process_message` masks it.  Two forked processes mask the
-    chunks of the first `end` bytes ahead of the caller (`_mask_chunk`),
-    and the caller masks the lines from there on as it reads them, so a
-    file that grows is read to its end.  On 2 vCPUs a worker spends about
-    three and a half times as long masking a line as the caller spends on
-    the rest, so two keep both CPUs busy where one left them partly idle;
-    more CPUs, unmeasured, get two as well."""
+    order, as `process_message` masks it.  Two forked processes, or one
+    for a single chunk, mask the chunks of the first `end` bytes ahead of
+    the caller (`_mask_chunk`), and the caller masks the lines from there
+    on as it reads them, so a file that grows is read to its end.  On 2
+    vCPUs a worker spends about three and a half times as long masking a
+    line as the caller spends on the rest, so two keep both CPUs busy
+    where one left them partly idle; more CPUs, unmeasured, get two as
+    well."""
     rules = miner._rules
     if end:
         masker = partial(_mask_chunk, rules, reader.fileno(), end)
@@ -220,16 +221,11 @@ def cmd_parse(args):
     """One compact JSON object per input line, written as
     `json.dumps(fields, separators=(",", ":"))` would write it.
 
-    What follows `"line_no":N,` is kept in `tails` for a line the miner's
-    exact-line memo holds: a line that is the text of the template it
-    merged into, unchanged.  Its variables are that template's wildcards,
-    so while the tree and templates stay as they are, the text depends on
-    the masked line alone.  `tails` is replaced whenever the miner
-    replaces its memo, which it does on every change to the tree or a
-    template, creation included, and a line whose own call replaced the
-    memo is not kept.  So `tails` holds no stale text, and no line the
-    memo does not hold: a line found there is only counted
-    (`Miner._repeat`), and no `ParseResult` is built for it."""
+    What follows `"line_no":N,` is kept in the tail of the miner's memo
+    entry for a line it holds (`Miner._exact`), and a tail lives in its
+    memo entry: while the entry lasts, the text depends on the masked
+    line alone.  A line found there is only counted (`Miner._repeat`),
+    and no `ParseResult` is built for it."""
     with _replacing(args.snapshot_out) as snapshot_out:
         if args.snapshot_in:
             given = [flag for flag, value in (
@@ -246,26 +242,25 @@ def cmd_parse(args):
         quote = encode_basestring_ascii
         write = sys.stdout.write
         structure, repeat = miner._structure, miner._repeat
-        memo, tails = miner._exact, {}
         start = time.perf_counter()
         n = 0
         with _open_input(args.input) as fh, closing(_masked_lines(
                 miner, fh, _mask_bytes(miner, args.input, fh))) as lines:
             for n, masked in enumerate(lines, 1):
-                tail = tails.get(masked)
-                if tail is None:
+                hit = miner._exact.get(masked)
+                if hit is None:
                     result = structure(masked)
                     tail = (f'"template_id":{result.template_id},"template":'
                             f'{quote(result.template_text)},"variables":'
                             f'[{",".join(map(quote, result.variables))}],'
                             '"created_new":'
                             f'{"true" if result.created_new else "false"}}}\n')
-                    if miner._exact is not memo:
-                        memo, tails = miner._exact, {}
-                    elif masked == result.template_text:
-                        tails[masked] = tail
+                    hit = miner._exact.get(masked)
+                    if hit is not None:
+                        hit[3] = tail
                 else:
-                    repeat(masked)
+                    repeat(hit)
+                    tail = hit[3]
                 write(f'{{"line_no":{n},{tail}')
         if snapshot_out:
             snapshot_out.write(miner.snapshot())

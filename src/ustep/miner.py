@@ -248,11 +248,13 @@ class Miner:
         # token a template later widened to the wildcard, so it grows with
         # the templates created, never with the lines merged
         self._tokens = {WILDCARD: WILDCARD}
-        # masked line -> (template, descent steps, templates scored) for a
-        # line `_match` merged, changing nothing, into the template whose
-        # text it is; `_match` replaces the dict whenever it changes the
-        # tree or a template, and a key is its template's text, so there is
-        # at most one entry per template
+        # masked line -> [template, descent steps, templates scored, tail]
+        # for a line `_match` merged, changing nothing, into the template
+        # whose text it is; `_match` replaces the dict whenever it changes
+        # the tree or a template, and a key is its template's text, so
+        # there is at most one entry per template.  The tail is the
+        # caller's: the miner stores None there, never reads it, and drops
+        # it with the entry
         self._exact = {}
         # line length -> the fewest agreeing positions k with k / n > sigma,
         # or n if there are none, which a template in a leaf of at most phi
@@ -409,20 +411,15 @@ class Miner:
 
         A line that is the text of a template it last merged into, with
         the tree and templates unchanged since, replays that merge from
-        `_exact` without tokenizing, descending or scoring.  Any other
-        line's variables are its tokens at the template's wildcard
-        positions, which the template caches until it widens; an entry is
-        made only once they are cached, and a widening empties the memo."""
+        its `_exact` entry (`_repeat`) without tokenizing, descending or
+        scoring.  Any other line's variables are its tokens at the
+        template's wildcard positions, which the template caches until it
+        widens; an entry, its tail None, is made only once they are
+        cached, and a widening empties the memo."""
         exact = self._exact
         hit = exact.get(masked)
         if hit is not None:
-            tpl, steps, evals = hit
-            tpl.match_count += 1
-            cost = self.last_cost
-            cost.descent_steps = steps
-            cost.simf_evals = evals
-            cost.pivot_scans = 0
-            self.stats.messages_processed += 1
+            tpl = self._repeat(hit)
             return ParseResult(tpl.id, tpl._text,
                                [WILDCARD] * len(tpl._slots), False)
         tokens = tokenize(masked)
@@ -436,25 +433,27 @@ class Miner:
             ) if WILDCARD in held else ()
         if exact is self._exact and masked == text:
             cost = self.last_cost
-            exact[text] = (tpl, cost.descent_steps, cost.simf_evals)
+            exact[text] = [tpl, cost.descent_steps, cost.simf_evals, None]
         return ParseResult(tpl.id, text, [tokens[j] for j in slots], created)
 
-    def _repeat(self, masked):
-        """`_structure(masked)` for a line the exact-line memo holds, minus
-        building the result: the same counts, costs and stats, for a caller
-        that already has the result's text.
+    def _repeat(self, hit):
+        """Count the memo entry `hit`'s line once more: the counts, costs
+        and stats of the merge it replays, the one place a memo hit does
+        them.  Returns the entry's template, for a caller that builds the
+        result, or that, like `parse`, keeps its text in the entry's
+        tail.
 
-        These are the memo-hit branch's lines, repeated rather than called
-        from `_structure`: a call per hit there made every repeated line
-        slower for the callers that read the result (parse-steady's
-        stream p50 by 2.4%)."""
-        tpl, steps, evals = self._exact[masked]
+        `_structure`'s hit branch calls it too; on a 2-vCPU host that call
+        moved parse-steady's stream p50 from 0.935 to 0.947 reference
+        messages (median of 10 pairs), inside the spread of the runs."""
+        tpl, steps, evals, _ = hit
         tpl.match_count += 1
         cost = self.last_cost
         cost.descent_steps = steps
         cost.simf_evals = evals
         cost.pivot_scans = 0
         self.stats.messages_processed += 1
+        return tpl
 
     def template_id(self, raw):
         """Template id of one raw line: `process_message(raw).template_id`

@@ -57,7 +57,8 @@ def broken_pool():
 
 def forked_map(fn, items, workers):
     """Yield `fn(item)` for each of the sequence `items`, in order,
-    computed in `workers` forked processes.
+    computed in `workers` forked processes, or one per item if there are
+    fewer items.
 
     The workers inherit `fn` and `items`, and all they refer to, by fork;
     only indices into `items` and the pickled results cross pipes, so
@@ -80,6 +81,7 @@ def forked_map(fn, items, workers):
     import fcntl
     import pickle
     import selectors
+    workers = min(workers, len(items))
     fds = list(os.pipe())       # what this process must close
     pids = []
     try:

@@ -1005,9 +1005,10 @@ def test_ctrl_c_gives_one_traceback_from_a_pipelined_parse(long_log):
         stderr=subprocess.PIPE, start_new_session=True)
     # a line out means a chunk came back from a worker; the child then
     # blocks on the full pipe, so it is still running when interrupted,
-    # and both workers soon wait idle for more chunks, once they have
-    # masked the few handed out ahead (a worker stopped in the middle of a
-    # chunk would hand the interrupt back quietly)
+    # and its one worker (long_log is one chunk of the child's
+    # CHUNK_BYTES) waits idle for more once it has masked it (a worker
+    # stopped in the middle of a chunk would hand the interrupt back
+    # quietly)
     assert proc.stdout.readline().startswith(b'{"line_no":1,')
     time.sleep(0.5)
     os.killpg(proc.pid, signal.SIGINT)      # as Ctrl-C signals a terminal

@@ -445,10 +445,10 @@ def test_empty_values_rejected():
         robustness_stats([])
 
 
-def test_import_does_not_load_numpy():
-    # nor the evaluation harness, json or statistics, which a streaming
-    # miner does not need, nor the process pool modules, which only
-    # forking sweep and parse runs import; the exports still resolve
+def test_import_check_passes_in_a_fresh_interpreter():
+    # import ustep loads no evaluation harness, json or statistics, which
+    # a streaming miner does not need, nor the process pool modules, which
+    # only forking sweep and parse runs import; the exports still resolve
     subprocess.run(
         [sys.executable, str(REPO / "tests" / "import_check.py")],
         env={**os.environ, "PYTHONPATH": str(REPO / "src")}, check=True)

@@ -682,8 +682,9 @@ def test_repeat_counts_a_memo_held_line_as_structure_does():
     memo = a._exact
     assert sorted(memo) == ["", "a b x", "c d y", "user <*> logged in"]
     for line in sorted(memo) * 2 + ["a b x", "", "", "c d y"]:
-        assert a._repeat(line) is None
-        b._structure(line)
+        tpl = a._repeat(a._exact[line])
+        res = b._structure(line)
+        assert (tpl.id, tpl.render()) == (res.template_id, line)
         assert vars(a.last_cost) == vars(b.last_cost)
         assert vars(a.stats) == vars(b.stats)
         assert a.templates() == b.templates()

@@ -95,3 +95,13 @@ def test_closing_forked_map_early_stops_its_workers(no_child_left):
     assert next(results) == 1000
     results.close()     # while each worker holds an item
     no_child_left()
+
+
+def test_forked_map_forks_no_more_workers_than_items(monkeypatch,
+                                                     no_child_left):
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    assert list(forked_map(abs, [-5], 4)) == [5]
+    assert len(forks) == 1
+    no_child_left()
