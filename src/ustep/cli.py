@@ -1,7 +1,9 @@
-"""Command-line front end: parse, bench, sweep, and stats workflows."""
+"""Command-line front end: parse, bench, sweep, and stats workflows.
+
+`parse` and `stats` load neither the evaluation harness nor `csv` and
+`dataclasses`: `bench` and `sweep` import them when they run."""
 
 import argparse
-import csv
 import errno
 import io
 import json
@@ -11,17 +13,9 @@ import sys
 import tempfile
 import time
 from contextlib import closing, contextmanager
-from dataclasses import asdict
 from functools import partial
 from json.encoder import encode_basestring_ascii
 
-from .evaluation import (
-    grouping_accuracy,
-    load_labeled_dataset,
-    run_miner,
-    sweep,
-    write_timing_csv,
-)
 from .miner import Miner, MinerConfig, SnapshotError
 from .tokens import preprocess, read_mask_rules
 from .workers import broken_pool, forked_map, usable_cpus
@@ -271,6 +265,14 @@ def cmd_parse(args):
 
 
 def cmd_bench(args):
+    from dataclasses import asdict
+
+    from .evaluation import (
+        grouping_accuracy,
+        load_labeled_dataset,
+        run_miner,
+        write_timing_csv,
+    )
     with _replacing(args.snapshot_out) as snapshot_out, \
             _replacing(args.timing_csv, "w", newline="",
                        encoding="utf-8") as timing_csv:
@@ -298,6 +300,9 @@ def cmd_bench(args):
 
 
 def cmd_sweep(args):
+    import csv
+
+    from .evaluation import load_labeled_dataset, sweep
     records = load_labeled_dataset(args.input)
     grid = _read_grid(args.grid)
     rules = read_mask_rules(args.masks) if args.masks else []
@@ -320,7 +325,7 @@ def cmd_stats(args):
     with open(args.snapshot_in, "rb") as fh:
         miner = Miner.restore(fh.read())
     print(json.dumps({
-        "stats": asdict(miner.stats),
+        "stats": miner.stats._asdict(),
         "templates": [
             {"id": tid, "template": text, "match_count": count}
             for tid, text, count in miner.templates()

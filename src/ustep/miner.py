@@ -13,7 +13,6 @@ so far, or to score above the threshold.
 """
 
 import gc
-from dataclasses import asdict, dataclass, field
 from functools import wraps
 
 from .tokens import (
@@ -54,9 +53,36 @@ def _collector_paused(method):
     return paused
 
 
-@dataclass
-class MinerConfig:
-    """Tunable parameters of a miner instance.
+class _Record:
+    """What `@dataclass` gave the records below, without `import ustep`
+    loading `dataclasses` and `inspect`: equality field by field as tuples
+    with a record of the same class, the dataclass repr and no hash, each
+    read from `__match_args__`, the fields in constructor order."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def _asdict(self):
+        return dict(zip(self.__match_args__, self._values()))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in self._asdict().items())
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+_NO_RULES = object()   # MinerConfig's mask_rules when none are given
+
+
+class MinerConfig(_Record):
+    """Tunable parameters of a miner instance, validated on construction.
 
     sigma: similarity a best-matching template must strictly exceed; a
         perfect match (similarity 1.0) always merges, so sigma = 1.0 merges
@@ -64,17 +90,20 @@ class MinerConfig:
     phi: max templates per leaf before a split is attempted.  A leaf whose
         split fails keeps phi + 1 templates and merges every later line
         into its best template, whatever the similarity.
-    mask_rules: regex patterns masking known variable spans before parsing.
+    mask_rules: regex patterns masking known variable spans before parsing;
+        left out, a new empty list.
     strict_wildcard_sim: if True, a template wildcard only matches a
         masked message token; if False (default) it matches any token.
     """
 
-    sigma: float = 0.5
-    phi: int = 8
-    mask_rules: list = field(default_factory=list)
-    strict_wildcard_sim: bool = False
+    __match_args__ = ("sigma", "phi", "mask_rules", "strict_wildcard_sim")
 
-    def __post_init__(self):
+    def __init__(self, sigma=0.5, phi=8, mask_rules=_NO_RULES,
+                 strict_wildcard_sim=False):
+        self.sigma = sigma
+        self.phi = phi
+        self.mask_rules = [] if mask_rules is _NO_RULES else mask_rules
+        self.strict_wildcard_sim = strict_wildcard_sim
         if isinstance(self.sigma, bool) \
                 or not isinstance(self.sigma, (int, float)):
             raise ConfigError(f"sigma must be a number, got {self.sigma!r}")
@@ -95,22 +124,24 @@ class MinerConfig:
         compile_rules(self.mask_rules)
 
 
-@dataclass(slots=True)
-class Template:
+class Template(_Record):
     """A token skeleton with wildcard slots; ids are stable and unique.
 
-    Two caches ride along, both unset until first read and both cleared
-    when the miner widens the template, turning a position into a
+    Two cache slots ride along, both unset until first read and both
+    cleared when the miner widens the template, turning a position into a
     wildcard: `_text`, the rendered text, and `_slots`, the wildcard
     positions in ascending order, which `Miner._structure` fills to pick a
-    line's variables.  Neither is part of equality, repr or a snapshot."""
+    line's variables.  Neither is in `__match_args__`, so neither is part
+    of equality, repr or a snapshot."""
 
-    id: int
-    tokens: list
-    match_count: int = 1
-    _text: str = field(default=None, init=False, repr=False, compare=False)
-    _slots: tuple = field(default=None, init=False, repr=False,
-                          compare=False)
+    __slots__ = ("id", "tokens", "match_count", "_text", "_slots")
+    __match_args__ = ("id", "tokens", "match_count")
+
+    def __init__(self, id, tokens, match_count=1):
+        self.id = id
+        self.tokens = tokens
+        self.match_count = match_count
+        self._text = self._slots = None
 
     def render(self):
         """The template's text, cached until the template widens."""
@@ -132,27 +163,33 @@ class TreeNode:
         self.templates = templates
 
 
-@dataclass
-class MinerStats:
-    node_count: int = 1
-    template_count: int = 0
-    messages_processed: int = 0
-    splits_performed: int = 0
-    max_depth: int = 0
+class MinerStats(_Record):
+    __match_args__ = ("node_count", "template_count", "messages_processed",
+                      "splits_performed", "max_depth")
+
+    def __init__(self, node_count=1, template_count=0, messages_processed=0,
+                 splits_performed=0, max_depth=0):
+        self.node_count = node_count
+        self.template_count = template_count
+        self.messages_processed = messages_processed
+        self.splits_performed = splits_performed
+        self.max_depth = max_depth
 
 
-@dataclass(slots=True)
-class ParseResult:
+class ParseResult(_Record):
     """Outcome of structuring one line: template identity plus variables."""
 
-    template_id: int
-    template_text: str
-    variables: list
-    created_new: bool
+    __slots__ = __match_args__ = ("template_id", "template_text", "variables",
+                                  "created_new")
+
+    def __init__(self, template_id, template_text, variables, created_new):
+        self.template_id = template_id
+        self.template_text = template_text
+        self.variables = variables
+        self.created_new = created_new
 
 
-@dataclass
-class MessageCost:
+class MessageCost(_Record):
     """Work done for the latest message, for complexity-bound checks.
 
     A miner keeps one instance as `last_cost` and overwrites its fields on
@@ -165,9 +202,12 @@ class MessageCost:
     comparisons of its pivot scan.
     """
 
-    descent_steps: int = 0
-    simf_evals: int = 0
-    pivot_scans: int = 0
+    __match_args__ = ("descent_steps", "simf_evals", "pivot_scans")
+
+    def __init__(self, descent_steps=0, simf_evals=0, pivot_scans=0):
+        self.descent_steps = descent_steps
+        self.simf_evals = simf_evals
+        self.pivot_scans = pivot_scans
 
 
 def sim_f(msg_tokens, tpl_tokens, strict):
@@ -501,7 +541,7 @@ class Miner:
         payload = {
             "magic": SNAPSHOT_MAGIC,
             "version": SNAPSHOT_VERSION,
-            "config": asdict(self.config),
+            "config": self.config._asdict(),
             "messages_processed": self.stats.messages_processed,
             "nodes": nodes,
             "templates": templates,

@@ -4,12 +4,14 @@ Run in a fresh interpreter against whichever `ustep` the path finds:
 
     PYTHONPATH=src python tests/import_check.py
 
-It exits non-zero if `import ustep` loads the evaluation harness, `json`
-or a pool module; if `ustep.__all__` lists `update_template`, or a name
-in it does not resolve to the object its defining module holds; if a
-snapshot does not round-trip; or if `import ustep.cli` loads
-`statistics` or a pool module.  Only the modules `import ustep` adds
-count, not those `site` loaded before.
+It exits non-zero if `import ustep` loads the evaluation harness, `json`,
+`dataclasses`, `inspect` or a pool module; if `ustep.__all__` lists
+`update_template`, or a name in it does not resolve to the object its
+defining module holds; if a snapshot does not round-trip; or if `import
+ustep.cli` loads the evaluation harness, `csv`, `dataclasses`, `inspect`,
+`statistics` or a pool module.  Only the modules these imports add count,
+not those `site` loaded before, so where the path finds `ustep` without
+`site`, run it under `python -S` as well.
 """
 
 import sys
@@ -19,8 +21,17 @@ import ustep  # noqa: E402
 
 added = set(sys.modules) - before
 eager = {"ustep.evaluation", "json", "csv", "statistics", "numpy",
-         "concurrent.futures", "multiprocessing"} & added
+         "dataclasses", "inspect", "concurrent.futures",
+         "multiprocessing"} & added
 assert not eager, f"import ustep loaded {sorted(eager)}"
+
+# before the checks below resolve the evaluation exports
+import ustep.cli  # noqa: E402
+
+late = {"ustep.evaluation", "csv", "dataclasses", "inspect", "statistics",
+        "numpy", "concurrent.futures", "multiprocessing"} & (
+    set(sys.modules) - before)
+assert not late, f"import ustep.cli loaded {sorted(late)}"
 
 # only a miner widens its own templates, through ustep.miner
 assert "update_template" not in ustep.__all__, "ustep exports update_template"
@@ -51,9 +62,3 @@ for line in ("open file a.txt", "open file b.txt", "close file a.txt"):
 data = miner.snapshot()
 assert ustep.Miner.restore(data).snapshot() == data, \
     "snapshot did not round-trip"
-
-import ustep.cli  # noqa: E402
-
-late = {"statistics", "numpy", "concurrent.futures",
-        "multiprocessing"} & set(sys.modules)
-assert not late, f"import ustep.cli loaded {sorted(late)}"

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 
 from synth import labels_and_tokens, replace_at
-from ustep import cli
+from ustep import cli, evaluation
 from ustep.cli import EXIT_IO, EXIT_OK, EXIT_SNAPSHOT, EXIT_USAGE, main
 from ustep.evaluation import DatasetFormatError, load_labeled_dataset
 from ustep.miner import Miner, MinerConfig
@@ -273,7 +273,7 @@ def test_bench_interrupted_while_writing_keeps_the_old_timing_csv(
         fh.write("chunk_index,messages")
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(cli, "write_timing_csv", interrupted)
+    monkeypatch.setattr(evaluation, "write_timing_csv", interrupted)
     with pytest.raises(KeyboardInterrupt):
         main(["bench", "--input", labeled_file, "--timing-csv", str(timing)])
     assert timing.read_bytes() == b"the old output\n"
@@ -1049,7 +1049,7 @@ def test_bench_refuses_an_unwritable_output_before_the_run(
     def run_miner(*args, **kwargs):
         pytest.fail("bench ran the miner before checking its outputs")
 
-    monkeypatch.setattr(cli, "run_miner", run_miner)
+    monkeypatch.setattr(evaluation, "run_miner", run_miner)
     files = in_a_directory_of_its_own(tmp_path, monkeypatch)
     path = str(tmp_path / target) if target else ""
     code, out, err = run_cli(capsys, "bench", "--input", labeled_file,

@@ -1,4 +1,5 @@
 import gc
+import json
 import random
 
 import pytest
@@ -572,14 +573,14 @@ def test_snapshot_and_restore_run_with_the_collector_paused(monkeypatch):
     seen = []
 
     def spy(real):
-        def call(*args):
+        def call(*args, **kwargs):
             seen.append(gc.isenabled())
-            return real(*args)
+            return real(*args, **kwargs)
         return call
 
     m = Miner()
     m.process_message("a b c")
-    monkeypatch.setattr(miner_module, "asdict", spy(miner_module.asdict))
+    monkeypatch.setattr(json, "dumps", spy(json.dumps))
     monkeypatch.setattr(miner_module, "tokenize", spy(miner_module.tokenize))
     assert gc.isenabled()
     Miner.restore(m.snapshot())
