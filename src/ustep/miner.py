@@ -54,23 +54,19 @@ def _collector_paused(method):
 
 
 class _Record:
-    """What `@dataclass` gave the records below, without `import ustep`
-    loading `dataclasses` and `inspect`: equality field by field as tuples
-    with a record of the same class, the dataclass repr and no hash, each
-    read from `__match_args__`, the fields in constructor order."""
+    """What `@dataclass` gave the records below, read from `__match_args__`:
+    equality as field tuples with a record of the same class, the same repr
+    and, as `__eq__` comes without `__hash__`, no hash."""
 
     __slots__ = ()
-    __hash__ = None
-
-    def _values(self):
-        return tuple(getattr(self, name) for name in self.__match_args__)
 
     def _asdict(self):
-        return dict(zip(self.__match_args__, self._values()))
+        return {name: getattr(self, name) for name in self.__match_args__}
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._values() == other._values()
+            return (tuple(self._asdict().values())
+                    == tuple(other._asdict().values()))
         return NotImplemented
 
     def __repr__(self):

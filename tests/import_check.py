@@ -7,9 +7,10 @@ Run in a fresh interpreter against whichever `ustep` the path finds:
 It exits non-zero if `import ustep` loads the evaluation harness, `json`,
 `dataclasses`, `inspect` or a pool module; if `ustep.__all__` lists
 `update_template`, or a name in it does not resolve to the object its
-defining module holds; if a snapshot does not round-trip; or if `import
+defining module holds; if a snapshot does not round-trip; if `import
 ustep.cli` loads the evaluation harness, `csv`, `dataclasses`, `inspect`,
-`statistics` or a pool module.  Only the modules these imports add count,
+`statistics` or a pool module; or if resolving the evaluation exports
+loads `statistics` or a pool module.  Only the modules these imports add count,
 not those `site` loaded before, so where the path finds `ustep` without
 `site`, run it under `python -S` as well.
 """
@@ -62,3 +63,10 @@ for line in ("open file a.txt", "open file b.txt", "close file a.txt"):
 data = miner.snapshot()
 assert ustep.Miner.restore(data).snapshot() == data, \
     "snapshot did not round-trip"
+
+# the evaluation exports resolved above; statistics waits for the first
+# robustness_stats call and the pools for the first parallel run
+assert "ustep.evaluation" in sys.modules, "the exports did not resolve"
+loaded = {"statistics", "numpy", "concurrent.futures",
+          "multiprocessing"} & (set(sys.modules) - before)
+assert not loaded, f"ustep.evaluation loaded {sorted(loaded)}"
