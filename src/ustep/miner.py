@@ -74,11 +74,10 @@ class _Record:
         return f"{self.__class__.__qualname__}({fields})"
 
 
-_NO_RULES = object()   # MinerConfig's mask_rules when none are given
-
-
 class MinerConfig(_Record):
-    """Tunable parameters of a miner instance, validated on construction.
+    """Tunable parameters of a miner instance, validated on construction
+    and read-only after it, since a miner compiles its rules and caches
+    its thresholds once.
 
     sigma: similarity a best-matching template must strictly exceed; a
         perfect match (similarity 1.0) always merges, so sigma = 1.0 merges
@@ -86,38 +85,44 @@ class MinerConfig(_Record):
     phi: max templates per leaf before a split is attempted.  A leaf whose
         split fails keeps phi + 1 templates and merges every later line
         into its best template, whatever the similarity.
-    mask_rules: regex patterns masking known variable spans before parsing;
-        left out, a new empty list.
+    mask_rules: regex patterns masking known variable spans before parsing,
+        a list or tuple of strings; stored as a new list.
     strict_wildcard_sim: if True, a template wildcard only matches a
         masked message token; if False (default) it matches any token.
     """
 
     __match_args__ = ("sigma", "phi", "mask_rules", "strict_wildcard_sim")
 
-    def __init__(self, sigma=0.5, phi=8, mask_rules=_NO_RULES,
+    def __init__(self, sigma=0.5, phi=8, mask_rules=(),
                  strict_wildcard_sim=False):
-        self.sigma = sigma
-        self.phi = phi
-        self.mask_rules = [] if mask_rules is _NO_RULES else mask_rules
-        self.strict_wildcard_sim = strict_wildcard_sim
-        if isinstance(self.sigma, bool) \
-                or not isinstance(self.sigma, (int, float)):
-            raise ConfigError(f"sigma must be a number, got {self.sigma!r}")
-        if isinstance(self.phi, bool) or not isinstance(self.phi, int):
-            raise ConfigError(f"phi must be an int, got {self.phi!r}")
-        if not isinstance(self.mask_rules, (list, tuple)) \
-                or not all(isinstance(r, str) for r in self.mask_rules):
+        if isinstance(sigma, bool) or not isinstance(sigma, (int, float)):
+            raise ConfigError(f"sigma must be a number, got {sigma!r}")
+        if isinstance(phi, bool) or not isinstance(phi, int):
+            raise ConfigError(f"phi must be an int, got {phi!r}")
+        if not isinstance(mask_rules, (list, tuple)) \
+                or not all(isinstance(r, str) for r in mask_rules):
             raise ConfigError("mask_rules must be a list of regex strings, "
-                              f"got {self.mask_rules!r}")
-        if type(self.strict_wildcard_sim) is not bool:
+                              f"got {mask_rules!r}")
+        if type(strict_wildcard_sim) is not bool:
             raise ConfigError("strict_wildcard_sim must be a bool, got "
-                              f"{self.strict_wildcard_sim!r}")
-        if not 0.0 <= self.sigma <= 1.0:
-            raise ConfigError(f"sigma must be in [0, 1], got {self.sigma}")
-        if self.phi < 1:
-            raise ConfigError(f"phi must be >= 1, got {self.phi}")
+                              f"{strict_wildcard_sim!r}")
+        if not 0.0 <= sigma <= 1.0:
+            raise ConfigError(f"sigma must be in [0, 1], got {sigma}")
+        if phi < 1:
+            raise ConfigError(f"phi must be >= 1, got {phi}")
         # fail configuration-time, never parse-time
-        compile_rules(self.mask_rules)
+        compile_rules(mask_rules)
+        # not through `__dict__`: that would make the interpreter give up
+        # the inline attribute values `_match` reads on every message
+        for name, value in zip(self.__match_args__, (
+                sigma, phi, list(mask_rules), strict_wildcard_sim)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class Template(_Record):
@@ -520,19 +525,25 @@ class Miner:
         `nodes` lists the tree depth first as [parent index, label, pivot],
         and `templates` holds [leaf index, id, rendered text, match_count].
         Of the counters, only messages_processed is stored; the others
-        follow from the tree.  The cyclic collector is paused meanwhile."""
+        follow from the tree.  The cyclic collector is paused meanwhile.
+
+        The encoder's circular-reference check is off: each call builds
+        the payload anew from tuples, ints, strings and the config's dict
+        and list, so no container in it appears twice or holds itself."""
         nodes, templates = [], []
+        add_node, add_template = nodes.append, templates.append
         stack = [(self.root, -1, None)]
+        pop, push = stack.pop, stack.append
         while stack:
-            node, up, label = stack.pop()
+            node, up, label = pop()
             index = len(nodes)
-            nodes.append((up, label, node.pivot))
+            add_node((up, label, node.pivot))
             if node.templates is not None:
-                templates += ((index, t.id, t.render(), t.match_count)
-                              for t in node.templates)
+                for t in node.templates:
+                    add_template((index, t.id, t.render(), t.match_count))
             else:
-                stack += ((child, index, key) for key, child
-                          in reversed(node.children.items()))
+                for key, child in reversed(node.children.items()):
+                    push((child, index, key))
         import json
         payload = {
             "magic": SNAPSHOT_MAGIC,
@@ -542,7 +553,8 @@ class Miner:
             "nodes": nodes,
             "templates": templates,
         }
-        return json.dumps(payload, separators=(",", ":")).encode("utf-8")
+        return json.dumps(payload, separators=(",", ":"),
+                          check_circular=False).encode("utf-8")
 
     @classmethod
     @_collector_paused

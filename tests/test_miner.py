@@ -1,6 +1,7 @@
 import gc
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,8 @@ from ustep.miner import (
     update_template,
 )
 from ustep.tokens import WILDCARD, ConfigError
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 # -- configuration ---------------------------------------------------------
@@ -43,6 +46,30 @@ def test_config_validation():
 def test_config_rejects_wrong_types(field, value):
     with pytest.raises(ConfigError):
         MinerConfig(**{field: value})
+
+
+def test_a_built_config_refuses_assignment():
+    # a miner compiles its rules and caches its thresholds once, so a
+    # field set later would leave the live miner and its snapshot apart
+    m = Miner()
+    with pytest.raises(AttributeError, match="'mask_rules'"):
+        m.config.mask_rules = [r"\d+"]
+    for field, value in [("sigma", 0.9), ("phi", 2),
+                         ("strict_wildcard_sim", True), ("other", 1)]:
+        with pytest.raises(AttributeError, match=f"'{field}'"):
+            setattr(m.config, field, value)
+    with pytest.raises(AttributeError, match="'phi'"):
+        del m.config.phi
+    assert m.config == MinerConfig()
+    restored = Miner.restore(m.snapshot())
+    assert restored.process_message("x 4") == m.process_message("x 4")
+    assert m.templates() == [(1, "x 4", 1)]
+
+
+def test_a_tuple_built_config_round_trips_equal():
+    config = MinerConfig(mask_rules=(r"\d+",))
+    assert config.mask_rules == [r"\d+"]
+    assert Miner.restore(Miner(config).snapshot()).config == config
 
 
 # -- similarity ------------------------------------------------------------
@@ -527,6 +554,38 @@ def test_wrong_magic_and_version_rejected():
     assert bad != good
     with pytest.raises(SnapshotError):
         Miner.restore(bad.encode())
+
+
+def _compact(blob):
+    """The compact encoding of a snapshot's decoded payload."""
+    return json.dumps(json.loads(blob), separators=(",", ":")).encode()
+
+
+@pytest.mark.parametrize("path", sorted(DATA.glob("*.snap")),
+                         ids=lambda path: path.name)
+def test_a_golden_snapshot_is_its_compact_encoding(path):
+    blob = path.read_bytes()
+    assert _compact(blob) == blob
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["loose", "strict"])
+@pytest.mark.parametrize("phi", [1, 2, 3, 4])
+def test_a_snapshot_is_its_compact_encoding(phi, strict):
+    # snapshot() encodes without the encoder's cycle check; the bytes must
+    # still be those of the plain compact encoding, escapes included
+    rng = random.Random(2900 + phi)
+    odd = ['"q"', "back\\slash", "\xe9", "\x01", "\U0001f600",
+           "\x7f", "<*>", "n7"]
+    lines = make_mixed_corpus(rng, 300) + [
+        " ".join(rng.choices(odd, k=rng.randrange(1, 4))) for _ in range(60)]
+    rng.shuffle(lines)
+    m = Miner(MinerConfig(phi=phi, mask_rules=[r"\bn\d+\b"],
+                          strict_wildcard_sim=strict))
+    for start in range(0, len(lines), 90):
+        for line in lines[start:start + 90]:
+            m.process_message(line)
+        blob = m.snapshot()
+        assert _compact(blob) == blob
 
 
 def _crafted_pivot_out_of_range():

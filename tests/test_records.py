@@ -83,7 +83,7 @@ def test_left_out_mask_rules_are_a_new_list_and_none_is_refused():
     with pytest.raises(ConfigError):
         MinerConfig(mask_rules=None)
     rules = ("a+",)
-    assert MinerConfig(mask_rules=rules).mask_rules is rules
+    assert MinerConfig(mask_rules=rules).mask_rules == ["a+"]
 
 
 @each_record
