@@ -54,25 +54,9 @@ def _read_grid(path):
     return grid
 
 
-@contextmanager
-def _open_input(path):
-    """Raw lines from a file or stdin; undecodable bytes become U+FFFD.
-
-    Stdin's buffer is detached from the reader on exit, not closed with it,
-    so the process can still use its stdin.  A stdin closed when the
-    process started, which Python leaves None, is an OSError."""
-    stdin = path == "-"
-    if stdin and sys.stdin is None:
-        raise OSError(errno.EBADF, "stdin is closed")
-    binary = sys.stdin.buffer if stdin else open(path, "rb")
-    reader = io.TextIOWrapper(binary, encoding="utf-8", errors="replace")
-    try:
-        yield reader
-    finally:
-        if stdin:
-            reader.detach()
-        else:
-            reader.close()
+def _mask_rules(args):
+    """The rules of the --masks file, or none without one."""
+    return read_mask_rules(args.masks) if args.masks else []
 
 
 def _build_config(args):
@@ -80,8 +64,7 @@ def _build_config(args):
     given = {name: value for name, value in (("sigma", args.sigma),
                                               ("phi", args.phi))
              if value is not None}
-    rules = read_mask_rules(args.masks) if args.masks else []
-    return MinerConfig(mask_rules=rules,
+    return MinerConfig(mask_rules=_mask_rules(args),
                        strict_wildcard_sim=bool(args.strict_sim), **given)
 
 
@@ -126,23 +109,6 @@ def _replacing(path, mode="wb", **kwargs):
         raise
 
 
-def _mask_bytes(miner, path, reader):
-    """How many bytes at the start of `reader`'s file `parse` masks in
-    worker processes (`_mask_chunk`): those up to the last b"\\n" the file
-    holds at open, so a last line still being written is left whole to
-    the caller.  0, so each line of a pipe, FIFO or tty is written as soon
-    as it is read, unless there are mask rules (without them a worker made
-    `parse` slower), the input is a regular file given by path, not stdin,
-    and at least 2 CPUs are usable; an empty file, one under /proc, or one
-    with no b"\\n" gives 0 too."""
-    if miner.config.mask_rules and path != "-" and usable_cpus() >= 2:
-        fd = reader.fileno()
-        info = os.fstat(fd)
-        if stat.S_ISREG(info.st_mode):
-            return _line_end(fd, info.st_size)
-    return 0
-
-
 def _line_end(fd, size):
     """Just past the last b"\\n" in the first `size` bytes of the file open
     at `fd`, or 0 if there is none, found by reading a few KiB at a time
@@ -176,11 +142,11 @@ def _mask_chunk(rules, fd, end, index):
 
     Chunk `index` holds the lines that start in bytes [index * CHUNK_BYTES,
     (index + 1) * CHUNK_BYTES) of the file, each up to its b"\\n", and
-    `end` is just past one (`_mask_bytes`), so a worker finds both of its
-    ends by reading a few KiB at each, and reads no other chunk.  It reads
-    with `os.pread`, which leaves the descriptor's offset alone, so the
-    workers share the one descriptor the caller opened.  A chunk is decoded
-    as `_open_input` decodes a whole file: it ends just after a b"\\n"."""
+    `end` is just past one (`_masked_lines`), so a worker finds both of
+    its ends by reading a few KiB at each, and reads no other chunk.  It
+    reads with `os.pread`, which leaves the descriptor's offset alone, so
+    the workers share the one descriptor the caller opened.  A chunk is
+    decoded as the caller decodes a file: it ends just after a b"\\n"."""
     start, stop = (min(_line_start(fd, i * CHUNK_BYTES), end)
                    for i in (index, index + 1))
     # stop is below start only if the file is cut short between the searches
@@ -189,26 +155,54 @@ def _mask_chunk(rules, fd, end, index):
     return [preprocess(line.rstrip("\r\n"), rules) for line in lines]
 
 
-def _masked_lines(miner, reader, end):
-    """Each line of `reader` as `miner`'s mask rules leave it, in input
-    order, as `process_message` masks it.  Two forked processes, or one
-    for a single chunk, mask the chunks of the first `end` bytes ahead of
-    the caller (`_mask_chunk`), and the caller masks the lines from there
-    on as it reads them, so a file that grows is read to its end.  On 2
-    vCPUs a worker spends about three and a half times as long masking a
-    line as the caller spends on the rest, so two keep both CPUs busy
-    where one left them partly idle; more CPUs, unmeasured, get two as
-    well."""
-    rules = miner._rules
-    if end:
-        masker = partial(_mask_chunk, rules, reader.fileno(), end)
-        with closing(forked_map(masker, range(-(-end // CHUNK_BYTES)),
-                                2)) as masked:
-            for lines in masked:
-                yield from lines
-        reader.seek(end)
-    for line in reader:
-        yield preprocess(line.rstrip("\r\n"), rules)
+def _masked_lines(path, rules):
+    """Each line of the file `path` names, or of stdin for "-", as the
+    compiled mask `rules` leave it, in input order, as `process_message`
+    masks it; undecodable bytes become U+FFFD.
+
+    Two forked processes, or one for a single chunk, mask the chunks of the
+    file's bytes up to the last b"\\n" it holds at open ahead of the caller
+    (`_mask_chunk`), so a last line still being written is left whole to
+    the caller.  The caller masks the lines from there on as it reads them,
+    so a file that grows is read to its end.  On 2 vCPUs a worker spends
+    about three and a half times as long masking a line as the caller
+    spends on the rest, so two keep both CPUs busy where one left them
+    partly idle; more CPUs, unmeasured, get two as well.  No worker runs,
+    so each line of a pipe, FIFO or tty is yielded as soon as it is read,
+    unless there are mask rules (without them a worker made `parse`
+    slower), the input is a regular file named by path, not stdin, and at
+    least 2 CPUs are usable; an empty file, one under /proc, or one with no
+    b"\\n" is read serially too.
+
+    A stdin closed when the process started, which Python leaves None, is
+    an OSError.  Stdin's buffer is detached from the reader at the end, not
+    closed with it, so the process can still use its stdin."""
+    stdin = path == "-"
+    if stdin and sys.stdin is None:
+        raise OSError(errno.EBADF, "stdin is closed")
+    binary = sys.stdin.buffer if stdin else open(path, "rb")
+    reader = io.TextIOWrapper(binary, encoding="utf-8", errors="replace")
+    try:
+        end = 0
+        if rules and not stdin and usable_cpus() >= 2:
+            fd = reader.fileno()
+            info = os.fstat(fd)
+            if stat.S_ISREG(info.st_mode):
+                end = _line_end(fd, info.st_size)
+        if end:
+            masker = partial(_mask_chunk, rules, fd, end)
+            with closing(forked_map(masker, range(-(-end // CHUNK_BYTES)),
+                                    2)) as masked:
+                for lines in masked:
+                    yield from lines
+            reader.seek(end)
+        for line in reader:
+            yield preprocess(line.rstrip("\r\n"), rules)
+    finally:
+        if stdin:
+            reader.detach()
+        else:
+            reader.close()
 
 
 def cmd_parse(args):
@@ -238,8 +232,7 @@ def cmd_parse(args):
         structure, repeat = miner._structure, miner._repeat
         start = time.perf_counter()
         n = 0
-        with _open_input(args.input) as fh, closing(_masked_lines(
-                miner, fh, _mask_bytes(miner, args.input, fh))) as lines:
+        with closing(_masked_lines(args.input, miner._rules)) as lines:
             for n, masked in enumerate(lines, 1):
                 hit = miner._exact.get(masked)
                 if hit is None:
@@ -305,9 +298,8 @@ def cmd_sweep(args):
     from .evaluation import load_labeled_dataset, sweep
     records = load_labeled_dataset(args.input)
     grid = _read_grid(args.grid)
-    rules = read_mask_rules(args.masks) if args.masks else []
-    best, results = sweep(records, grid, mask_rules=rules,
-                          strict=args.strict_sim)
+    best, results = sweep(records, grid, mask_rules=_mask_rules(args),
+                          strict=bool(args.strict_sim))
     if args.format == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(["sigma", "phi", "parsing_accuracy"])
@@ -340,15 +332,19 @@ def build_parser():
         description="Streaming log template miner and evaluation harness.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_rule_flags(p):
+        # default None, so `parse --snapshot-in` can tell a flag given
+        p.add_argument("--strict-sim", dest="strict_sim", action="store_true",
+                       default=None,
+                       help="template wildcards only match masked tokens")
+        p.add_argument("--masks", help="mask-rules file, one regex per line")
+
     def add_miner_flags(p):
         p.add_argument("--sigma", type=float,
                        help="similarity threshold in [0,1] (default 0.5)")
         p.add_argument("--phi", type=int,
                        help="leaf capacity before splitting (default 8)")
-        p.add_argument("--strict-sim", dest="strict_sim", action="store_true",
-                       default=None,
-                       help="template wildcards only match masked tokens")
-        p.add_argument("--masks", help="mask-rules file, one regex per line")
+        add_rule_flags(p)
 
     p = sub.add_parser("parse", help="structure raw lines to JSON results")
     add_miner_flags(p)
@@ -370,8 +366,7 @@ def build_parser():
     p.add_argument("--input", required=True, help="labeled structured CSV")
     p.add_argument("--grid", required=True,
                    help="grid file of sigma,phi pairs")
-    p.add_argument("--masks", help="mask-rules file, one regex per line")
-    p.add_argument("--strict-sim", dest="strict_sim", action="store_true")
+    add_rule_flags(p)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=cmd_sweep)
 

@@ -86,7 +86,7 @@ class MinerConfig(_Record):
         split fails keeps phi + 1 templates and merges every later line
         into its best template, whatever the similarity.
     mask_rules: regex patterns masking known variable spans before parsing,
-        a list or tuple of strings; stored as a new list.
+        a list or tuple of strings; stored as a tuple.
     strict_wildcard_sim: if True, a template wildcard only matches a
         masked message token; if False (default) it matches any token.
     """
@@ -115,7 +115,7 @@ class MinerConfig(_Record):
         # not through `__dict__`: that would make the interpreter give up
         # the inline attribute values `_match` reads on every message
         for name, value in zip(self.__match_args__, (
-                sigma, phi, list(mask_rules), strict_wildcard_sim)):
+                sigma, phi, tuple(mask_rules), strict_wildcard_sim)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):

@@ -13,7 +13,8 @@ import sys
 import tempfile
 import time
 from collections import Counter
-from contextlib import closing, contextmanager, redirect_stdout
+from contextlib import closing, redirect_stdout
+from itertools import islice
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -25,7 +26,7 @@ from ustep import cli, evaluation
 from ustep.cli import EXIT_IO, EXIT_OK, EXIT_SNAPSHOT, EXIT_USAGE, main
 from ustep.evaluation import DatasetFormatError, load_labeled_dataset
 from ustep.miner import Miner, MinerConfig
-from ustep.tokens import WILDCARD, preprocess, read_mask_rules
+from ustep.tokens import WILDCARD, compile_rules, preprocess, read_mask_rules
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 DATA = Path(__file__).resolve().parent / "data"
@@ -232,6 +233,24 @@ def test_parse_interrupted_while_snapshotting_keeps_the_old_snapshot(
         main(["parse", "--input", raw_file, "--snapshot-in", str(snap),
               "--snapshot-out", str(snap)])
     assert snap.read_bytes() == before
+
+
+@pytest.mark.parametrize("target", ["missing.log", "."],
+                         ids=["missing-file", "directory"])
+def test_parse_an_unreadable_input_keeps_the_old_snapshot(
+        target, raw_file, tmp_path, capsys):
+    snap = tmp_path / "state.bin"
+    assert run_cli(capsys, "parse", "--input", raw_file,
+                   "--snapshot-out", str(snap))[0] == EXIT_OK
+    before, files = snap.read_bytes(), sorted(tmp_path.iterdir())
+    code, out, err = run_cli(capsys, "parse", "--input",
+                             str(tmp_path / target), "--snapshot-out",
+                             str(snap))
+    assert code == EXIT_IO
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert snap.read_bytes() == before
+    assert sorted(tmp_path.iterdir()) == files
 
 
 #: a child `ustep` that may write no file past 64 bytes, as on a disk that
@@ -549,15 +568,14 @@ def test_parse_workers_read_the_file_parse_opened(long_log, tmp_path, capsys,
     argv = ("--input", long_log, "--masks", GOLDEN_MASKS)
     usable_cpus(1)
     serial = parse_run(capsys, tmp_path, *argv)
-    open_input = cli._open_input
 
-    @contextmanager
-    def unlinked_once_open(path):
-        with open_input(path) as reader:
-            os.unlink(path)
-            yield reader
+    def unlinked_once_open(file, *args, **kwargs):
+        opened = open(file, *args, **kwargs)
+        if file == long_log:
+            os.unlink(file)
+        return opened
 
-    monkeypatch.setattr(cli, "_open_input", unlinked_once_open)
+    monkeypatch.setattr(cli, "open", unlinked_once_open, raising=False)
     usable_cpus(3)
     assert parse_run(capsys, tmp_path, *argv) == serial
     assert not os.path.exists(long_log)
@@ -702,16 +720,30 @@ def test_mask_workers(source, rules, cpus, want, raw_file, tmp_path,
                       monkeypatch):
     """The bytes `parse` hands its mask workers: all 30 of `raw_file`, the
     15 up to the last b"\\n" of an unterminated file, or none, so the
-    input is read serially."""
+    input is read serially; either way every line comes masked, in
+    order."""
     monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
-    miner = Miner(MinerConfig(mask_rules=[r"\d+"] if rules else []))
-    path, flags = raw_file, os.O_RDONLY
+    handed = []
+    mask_chunk = cli._mask_chunk
+
+    def noted(rules, fd, end, index):
+        handed.append(end)
+        return mask_chunk(rules, fd, end, index)
+
+    # the chunks are masked in this process, where the notes can be read
+    monkeypatch.setattr(cli, "_mask_chunk", noted)
+    monkeypatch.setattr(cli, "forked_map",
+                        lambda fn, items, workers: (fn(i) for i in items))
+    rules = compile_rules([r"\d+"] if rules else [])
+    path, writer = raw_file, None
     if source == "fifo":
         if not hasattr(os, "mkfifo"):
             pytest.skip("no FIFOs on this platform")
         path = str(tmp_path / "fifo")
         os.mkfifo(path)
-        flags |= os.O_NONBLOCK      # else opening waits for a writer
+        # a write end, so opening the read end does not wait for a writer
+        writer = os.open(path, os.O_RDWR)
+        os.write(writer, Path(raw_file).read_bytes())
     elif source == "empty":
         path = str(tmp_path / "empty.log")
         Path(path).touch()
@@ -722,9 +754,21 @@ def test_mask_workers(source, rules, cpus, want, raw_file, tmp_path,
     elif source in UNTERMINATED:
         path = str(tmp_path / "unterminated.log")
         Path(path).write_bytes(UNTERMINATED[source])
-    with open(os.open(path, flags), "rb") as reader:
+    data = Path(raw_file if source == "fifo" else path).read_bytes()
+    with open(raw_file, "rb") as fh:
+        # stdin is a regular file here, and still no mask worker may run
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(fh))
         given = "-" if source == "stdin" else path
-        assert cli._mask_bytes(miner, given, reader) == want
+        with closing(cli._masked_lines(given, rules)) as lines:
+            got = list(islice(lines, 1))
+            if writer is not None:
+                os.close(writer)    # the reader sees the end of the FIFO
+            got += lines
+    assert handed == ([want] if want else [])
+    decoded = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
+                               errors="replace")
+    assert got == [preprocess(line.rstrip("\r\n"), rules)
+                   for line in decoded]
 
 
 def test_parse_reports_a_dead_mask_worker(long_log, tmp_path, capfd,

@@ -54,6 +54,8 @@ def test_a_built_config_refuses_assignment():
     m = Miner()
     with pytest.raises(AttributeError, match="'mask_rules'"):
         m.config.mask_rules = [r"\d+"]
+    with pytest.raises(AttributeError, match="'append'"):
+        m.config.mask_rules.append(r"\d+")
     for field, value in [("sigma", 0.9), ("phi", 2),
                          ("strict_wildcard_sim", True), ("other", 1)]:
         with pytest.raises(AttributeError, match=f"'{field}'"):
@@ -68,7 +70,7 @@ def test_a_built_config_refuses_assignment():
 
 def test_a_tuple_built_config_round_trips_equal():
     config = MinerConfig(mask_rules=(r"\d+",))
-    assert config.mask_rules == [r"\d+"]
+    assert config.mask_rules == (r"\d+",)
     assert Miner.restore(Miner(config).snapshot()).config == config
 
 

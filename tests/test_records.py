@@ -19,8 +19,8 @@ from ustep.tokens import ConfigError
 RECORDS = {
     MinerConfig: (
         ("sigma", "phi", "mask_rules", "strict_wildcard_sim"),
-        (0.4, 3, [r"\d+"], True), (0.4, 3, [r"\d+"], False),
-        r"MinerConfig(sigma=0.4, phi=3, mask_rules=['\\d+'], "
+        (0.4, 3, (r"\d+",), True), (0.4, 3, (r"\d+",), False),
+        r"MinerConfig(sigma=0.4, phi=3, mask_rules=('\\d+',), "
         "strict_wildcard_sim=True)"),
     Template: (
         ("id", "tokens", "match_count"),
@@ -63,7 +63,7 @@ def test_a_record_takes_its_fields_by_position_or_keyword(cls):
 
 
 @pytest.mark.parametrize("record, values", [
-    (MinerConfig(), (0.5, 8, [], False)),
+    (MinerConfig(), (0.5, 8, (), False)),
     (Template(5, ["a"]), (5, ["a"], 1)),
     (MinerStats(), (1, 0, 0, 0, 0)),
     (MessageCost(), (0, 0, 0)),
@@ -77,13 +77,15 @@ def test_a_parse_result_has_no_defaults():
         ParseResult(4, "open <*>", ["a.txt"])
 
 
-def test_left_out_mask_rules_are_a_new_list_and_none_is_refused():
-    a, b = MinerConfig(), MinerConfig()
-    assert a.mask_rules == [] and a.mask_rules is not b.mask_rules
+def test_mask_rules_are_stored_as_a_tuple_and_none_is_refused():
+    # a list given stays the caller's: changing it later changes no config
+    a, rules = MinerConfig(), ["a+"]
+    given = MinerConfig(mask_rules=rules)
+    rules.append("b+")
+    assert a.mask_rules == () and given.mask_rules == ("a+",)
     with pytest.raises(ConfigError):
         MinerConfig(mask_rules=None)
-    rules = ("a+",)
-    assert MinerConfig(mask_rules=rules).mask_rules == ["a+"]
+    assert MinerConfig(mask_rules=("a+",)).mask_rules == ("a+",)
 
 
 @each_record
