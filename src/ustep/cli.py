@@ -205,15 +205,17 @@ def _masked_lines(path, rules):
             reader.close()
 
 
+def _json_tail(result, quote=encode_basestring_ascii):
+    """What follows `"line_no":N,` in `parse`'s JSON line for `result`."""
+    return (f'"template_id":{result.template_id},"template":'
+            f'{quote(result.template_text)},"variables":'
+            f'[{",".join(map(quote, result.variables))}],"created_new":'
+            f'{"true" if result.created_new else "false"}}}\n')
+
+
 def cmd_parse(args):
     """One compact JSON object per input line, written as
-    `json.dumps(fields, separators=(",", ":"))` would write it.
-
-    What follows `"line_no":N,` is kept in the tail of the miner's memo
-    entry for a line it holds (`Miner._exact`), and a tail lives in its
-    memo entry: while the entry lasts, the text depends on the masked
-    line alone.  A line found there is only counted (`Miner._repeat`),
-    and no `ParseResult` is built for it."""
+    `json.dumps(fields, separators=(",", ":"))` would write it."""
     with _replacing(args.snapshot_out) as snapshot_out:
         if args.snapshot_in:
             given = [flag for flag, value in (
@@ -227,27 +229,11 @@ def cmd_parse(args):
                 miner = Miner.restore(fh.read())
         else:
             miner = Miner(_build_config(args))
-        quote = encode_basestring_ascii
         write = sys.stdout.write
-        structure, repeat = miner._structure, miner._repeat
         start = time.perf_counter()
         n = 0
         with closing(_masked_lines(args.input, miner._rules)) as lines:
-            for n, masked in enumerate(lines, 1):
-                hit = miner._exact.get(masked)
-                if hit is None:
-                    result = structure(masked)
-                    tail = (f'"template_id":{result.template_id},"template":'
-                            f'{quote(result.template_text)},"variables":'
-                            f'[{",".join(map(quote, result.variables))}],'
-                            '"created_new":'
-                            f'{"true" if result.created_new else "false"}}}\n')
-                    hit = miner._exact.get(masked)
-                    if hit is not None:
-                        hit[3] = tail
-                else:
-                    repeat(hit)
-                    tail = hit[3]
+            for n, tail in enumerate(miner._stream(lines, _json_tail), 1):
                 write(f'{{"line_no":{n},{tail}')
         if snapshot_out:
             snapshot_out.write(miner.snapshot())

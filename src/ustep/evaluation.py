@@ -218,7 +218,8 @@ def sweep(records, grid, mask_rules=(), strict=False):
 
     Returns (best result, all results) where each result is a dict with
     sigma, phi and parsing_accuracy.  Ties go to the earliest grid entry.
-    Each line is masked and tokenized once, for the whole grid.
+    `mask_rules` is a list or tuple, as `MinerConfig` takes it.  Each line
+    is masked and tokenized once, for the whole grid.
 
     On Linux the grid points run in up to min(grid size, usable CPUs)
     forked processes, elsewhere one after another; nothing selects this.
@@ -232,12 +233,12 @@ def sweep(records, grid, mask_rules=(), strict=False):
     """
     if not grid:
         raise ValueError("empty hyperparameter grid")
-    configs = [MinerConfig(sigma=sigma, phi=phi, mask_rules=list(mask_rules),
+    configs = [MinerConfig(sigma=sigma, phi=phi, mask_rules=mask_rules,
                            strict_wildcard_sim=strict)
                for sigma, phi in grid]
     # called through ustep.miner, as Miner.process_message calls them, so
     # that whatever wraps those functions also sees these calls
-    rules = compile_rules(mask_rules)
+    rules = compile_rules(configs[0].mask_rules)
     messages = [miner_module.tokenize(miner_module.preprocess(r.content,
                                                               rules))
                 for r in records]

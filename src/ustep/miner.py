@@ -293,9 +293,9 @@ class Miner:
         # for a line `_match` merged, changing nothing, into the template
         # whose text it is; `_match` replaces the dict whenever it changes
         # the tree or a template, and a key is its template's text, so
-        # there is at most one entry per template.  The tail is the
-        # caller's: the miner stores None there, never reads it, and drops
-        # it with the entry
+        # there is at most one entry per template.  The tail is what
+        # `_stream`'s encode made of the line's result, or None until
+        # `_stream` meets the line; it goes with the entry
         self._exact = {}
         # line length -> the fewest agreeing positions k with k / n > sigma,
         # or n if there are none, which a template in a leaf of at most phi
@@ -455,8 +455,8 @@ class Miner:
         its `_exact` entry (`_repeat`) without tokenizing, descending or
         scoring.  Any other line's variables are its tokens at the
         template's wildcard positions, which the template caches until it
-        widens; an entry, its tail None, is made only once they are
-        cached, and a widening empties the memo."""
+        widens; an entry is made only once they are cached, with a tail
+        of None for `_stream` to fill, and a widening empties the memo."""
         exact = self._exact
         hit = exact.get(masked)
         if hit is not None:
@@ -480,13 +480,13 @@ class Miner:
     def _repeat(self, hit):
         """Count the memo entry `hit`'s line once more: the counts, costs
         and stats of the merge it replays, the one place a memo hit does
-        them.  Returns the entry's template, for a caller that builds the
-        result, or that, like `parse`, keeps its text in the entry's
-        tail.
+        them.  Returns the entry's template, for `_structure` to build the
+        result from; `_stream` yields the entry's tail instead.
 
-        `_structure`'s hit branch calls it too; on a 2-vCPU host that call
-        moved parse-steady's stream p50 from 0.935 to 0.947 reference
-        messages (median of 10 pairs), inside the spread of the runs."""
+        `_structure`'s hit branch calls it as `_stream` does; on a 2-vCPU
+        host that call moved parse-steady's stream p50 from 0.935 to 0.947
+        reference messages (median of 10 pairs), inside the spread of the
+        runs."""
         tpl, steps, evals, _ = hit
         tpl.match_count += 1
         cost = self.last_cost
@@ -495,6 +495,28 @@ class Miner:
         cost.pivot_scans = 0
         self.stats.messages_processed += 1
         return tpl
+
+    def _stream(self, lines, encode):
+        """`encode(self._structure(masked))` for each of the masked `lines`
+        in turn.  The output for a line the memo holds is kept in the tail
+        of its entry (`_exact`): while the entry lasts, the result depends
+        on the masked line alone, so a later hit is only counted
+        (`_repeat`) and yields the tail again, and no `ParseResult` is
+        built for it.  So `encode` must depend on the result alone, and a
+        miner takes one `encode`.  A tail of None, as `process_message`
+        leaves it, is a miss; `_match` may replace `_exact` at any line."""
+        structure, repeat = self._structure, self._repeat
+        for masked in lines:
+            hit = self._exact.get(masked)
+            tail = hit and hit[3]
+            if tail is None:
+                tail = encode(structure(masked))
+                hit = self._exact.get(masked)
+                if hit is not None:
+                    hit[3] = tail
+            else:
+                repeat(hit)
+            yield tail
 
     def template_id(self, raw):
         """Template id of one raw line: `process_message(raw).template_id`

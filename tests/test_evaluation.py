@@ -27,6 +27,7 @@ from ustep.evaluation import (
     synthetic_stream,
 )
 from ustep.miner import Miner, MinerConfig
+from ustep.tokens import ConfigError
 
 
 REPO = Path(__file__).resolve().parent.parent
@@ -386,6 +387,18 @@ def test_sweep_hands_out_the_longest_points_first(usable_cpus,
     # every point scores 1.0, so the tie goes to the first grid entry
     assert [(r["sigma"], r["phi"]) for r in results] == grid
     assert best is results[0]
+
+
+def test_sweep_masks_with_rules_given_once_or_refuses_them():
+    records = [LabeledRecord(i + 1, f"job {i} done", "E1") for i in range(5)]
+    records.append(LabeledRecord(6, "disk full", "E2"))
+    for rules in ([r"\d+"], (r"\d+",)):
+        best, _ = sweep(records, [(0.9, 8)], mask_rules=rules)
+        assert best["parsing_accuracy"] == 1.0
+    # a generator would be used up by the first of its two readers, and
+    # the corpus left unmasked; it is refused as `MinerConfig` refuses it
+    with pytest.raises(ConfigError, match="mask_rules"):
+        sweep(records, [(0.9, 8)], mask_rules=(r for r in [r"\d+"]))
 
 
 def test_sweep_rejects_an_empty_grid():

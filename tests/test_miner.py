@@ -7,6 +7,7 @@ import pytest
 
 from synth import labels_and_tokens, make_mixed_corpus
 from ustep import miner as miner_module
+from ustep.cli import _json_tail
 from ustep.miner import (
     Miner,
     MinerConfig,
@@ -16,7 +17,7 @@ from ustep.miner import (
     sim_f,
     update_template,
 )
-from ustep.tokens import WILDCARD, ConfigError
+from ustep.tokens import WILDCARD, ConfigError, preprocess
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -752,6 +753,43 @@ def test_repeat_counts_a_memo_held_line_as_structure_does():
         assert a.templates() == b.templates()
         assert a._exact is memo
     assert a.snapshot() == b.snapshot()
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["loose", "strict"])
+def test_stream_yields_what_process_message_returns(strict):
+    # miner a takes lines through one `_stream` and through
+    # `process_message` at random, so the stream meets memo entries whose
+    # tail `process_message` left None; miner b takes every line through
+    # `process_message`
+    cfg = MinerConfig(sigma=0.7, phi=1, mask_rules=[r"\d"],
+                      strict_wildcard_sim=strict)
+    a, b = Miner(cfg), Miner(cfg)
+    pending = []
+    stream = a._stream(iter(pending.pop, None), _json_tail)
+    rng = random.Random(5)
+    seen = set()
+    for _ in range(600):
+        line = " ".join(rng.choices(["a", "b", "c", "7", "<*>"],
+                                    k=rng.randint(0, 4)))
+        masked = preprocess(line, a._rules)
+        memo, count = a._exact, a.stats.template_count
+        if rng.random() < 0.5:
+            hit = memo.get(masked)
+            seen.add("miss" if hit is None else "tail" if hit[3] else "None")
+            pending.append(masked)
+            out = next(stream)
+        else:
+            out = _json_tail(a.process_message(line))
+        assert out == _json_tail(b.process_message(line))
+        assert a.last_cost == b.last_cost
+        assert a.stats == b.stats
+        assert a.snapshot() == b.snapshot()
+        if a._exact is not memo:
+            seen.add("created" if a.stats.template_count > count
+                     else "widened")
+    stream.close()
+    assert seen == {"miss", "tail", "None", "created", "widened"}
+    assert a.stats.splits_performed > 0
 
 
 # -- stats -----------------------------------------------------------------
