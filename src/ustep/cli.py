@@ -384,7 +384,10 @@ def main(argv=None):
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except broken_pool() as exc:
+    except Exception as exc:
+        # Ctrl-C and SystemExit pass by: `broken_pool()` imports the pool
+        if not isinstance(exc, broken_pool()):
+            raise
         print(f"error: a {args.command} worker process died: {exc}",
               file=sys.stderr)
         return EXIT_IO

@@ -10,7 +10,6 @@ from operator import itemgetter
 
 from . import miner as miner_module
 from .miner import Miner, MinerConfig
-from .tokens import compile_rules
 
 
 class DatasetFormatError(ValueError):
@@ -238,7 +237,7 @@ def sweep(records, grid, mask_rules=(), strict=False):
                for sigma, phi in grid]
     # called through ustep.miner, as Miner.process_message calls them, so
     # that whatever wraps those functions also sees these calls
-    rules = compile_rules(configs[0].mask_rules)
+    rules = configs[0]._rules
     messages = [miner_module.tokenize(miner_module.preprocess(r.content,
                                                               rules))
                 for r in records]

@@ -76,8 +76,8 @@ class _Record:
 
 class MinerConfig(_Record):
     """Tunable parameters of a miner instance, validated on construction
-    and read-only after it, since a miner compiles its rules and caches
-    its thresholds once.
+    and read-only after it; its miners share the rules it compiles,
+    `_rules` (no field), and cache its thresholds once.
 
     sigma: similarity a best-matching template must strictly exceed; a
         perfect match (similarity 1.0) always merges, so sigma = 1.0 merges
@@ -110,12 +110,12 @@ class MinerConfig(_Record):
             raise ConfigError(f"sigma must be in [0, 1], got {sigma}")
         if phi < 1:
             raise ConfigError(f"phi must be >= 1, got {phi}")
-        # fail configuration-time, never parse-time
-        compile_rules(mask_rules)
         # not through `__dict__`: that would make the interpreter give up
-        # the inline attribute values `_match` reads on every message
-        for name, value in zip(self.__match_args__, (
-                sigma, phi, tuple(mask_rules), strict_wildcard_sim)):
+        # the inline attribute values `_match` reads on every message.
+        # A bad rule fails here, configuration-time, never parse-time
+        for name, value in zip(self.__match_args__ + ("_rules",), (
+                sigma, phi, tuple(mask_rules), strict_wildcard_sim,
+                compile_rules(mask_rules))):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -128,10 +128,10 @@ class MinerConfig(_Record):
 class Template(_Record):
     """A token skeleton with wildcard slots; ids are stable and unique.
 
-    Two cache slots ride along, both unset until first read and both
+    Two cache slots ride along, both filled by `render()` and both
     cleared when the miner widens the template, turning a position into a
     wildcard: `_text`, the rendered text, and `_slots`, the wildcard
-    positions in ascending order, which `Miner._structure` fills to pick a
+    positions in ascending order, from which `Miner._structure` picks a
     line's variables.  Neither is in `__match_args__`, so neither is part
     of equality, repr or a snapshot."""
 
@@ -145,9 +145,14 @@ class Template(_Record):
         self._text = self._slots = None
 
     def render(self):
-        """The template's text, cached until the template widens."""
+        """The template's text; it and the wildcard positions are made
+        together and cached until the template widens."""
         if self._text is None:
-            self._text = render(self.tokens)
+            tokens = self.tokens
+            self._slots = tuple(
+                [j for j, tt in enumerate(tokens) if tt == WILDCARD]
+            ) if WILDCARD in tokens else ()
+            self._text = render(tokens)
         return self._text
 
 
@@ -218,7 +223,8 @@ def sim_f(msg_tokens, tpl_tokens, strict):
     any message token.  Equal lists score 1.0 at once, in either mode: they
     agree at every position, wildcards included.  Lengths must match; two
     empty lists are equal.  `Miner._match` applies this rule inline, with
-    an early stop; `sim_f` remains the tests' oracle for it.
+    an early stop, and no package code calls `sim_f`; it stays for the
+    `ustep` export until ROADMAP item 3 removes it.
     """
     if msg_tokens == tpl_tokens:
         return 1.0
@@ -280,7 +286,7 @@ class Miner:
 
     def __init__(self, config=None):
         self.config = config or MinerConfig()
-        self._rules = compile_rules(self.config.mask_rules)
+        self._rules = self.config._rules
         self.root = TreeNode()
         self.stats = MinerStats()
         self.last_cost = MessageCost()
@@ -454,7 +460,7 @@ class Miner:
         the tree and templates unchanged since, replays that merge from
         its `_exact` entry (`_repeat`) without tokenizing, descending or
         scoring.  Any other line's variables are its tokens at the
-        template's wildcard positions, which the template caches until it
+        template's wildcard positions, which `render()` caches until it
         widens; an entry is made only once they are cached, with a tail
         of None for `_stream` to fill, and a widening empties the memo."""
         exact = self._exact
@@ -466,16 +472,11 @@ class Miner:
         tokens = tokenize(masked)
         tpl, created = self._match(tokens)
         text = tpl.render()
-        slots = tpl._slots
-        if slots is None:
-            held = tpl.tokens
-            slots = tpl._slots = tuple(
-                [j for j, tt in enumerate(held) if tt == WILDCARD]
-            ) if WILDCARD in held else ()
         if exact is self._exact and masked == text:
             cost = self.last_cost
             exact[text] = [tpl, cost.descent_steps, cost.simf_evals, None]
-        return ParseResult(tpl.id, text, [tokens[j] for j in slots], created)
+        return ParseResult(tpl.id, text, [tokens[j] for j in tpl._slots],
+                           created)
 
     def _repeat(self, hit):
         """Count the memo entry `hit`'s line once more: the counts, costs

@@ -12,14 +12,14 @@ class ConfigError(ValueError):
 
 
 def compile_rules(patterns):
-    """Compile mask-rule patterns, raising ConfigError on any bad regex."""
+    """Compile mask-rule patterns into a tuple; ConfigError on a bad regex."""
     compiled = []
     for pat in patterns:
         try:
             compiled.append(re.compile(pat))
         except (re.error, OverflowError, RecursionError) as exc:
             raise ConfigError(f"invalid mask rule {pat!r}: {exc}") from exc
-    return compiled
+    return tuple(compiled)
 
 
 def read_mask_rules(path):

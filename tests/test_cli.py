@@ -1042,8 +1042,13 @@ def test_every_command_refuses_a_closed_stdout_before_it_reads(
 
 @needs_affinity
 def test_ctrl_c_gives_one_traceback_from_a_pipelined_parse(long_log):
+    # the handler a terminal's foreground job has: Python keeps a SIGINT
+    # it starts with ignored (a runner started with `&` or under nohup),
+    # and the child would then parse to the end and exit 0
+    interruptible = ("import signal; signal.signal(signal.SIGINT, "
+                     "signal.default_int_handler); " + TWO_CPU_MAIN)
     proc = subprocess.Popen(
-        [sys.executable, "-c", TWO_CPU_MAIN, "parse", "--input", long_log,
+        [sys.executable, "-c", interruptible, "parse", "--input", long_log,
          "--masks", GOLDEN_MASKS],
         env={**os.environ, "PYTHONPATH": str(SRC)}, stdout=subprocess.PIPE,
         stderr=subprocess.PIPE, start_new_session=True)
@@ -1061,6 +1066,24 @@ def test_ctrl_c_gives_one_traceback_from_a_pipelined_parse(long_log):
     assert proc.returncode == -signal.SIGINT, why
     assert err.count(b"Traceback") == 1, why
     assert err.rstrip().endswith(b"KeyboardInterrupt"), why
+
+
+def test_ctrl_c_leaves_the_pool_modules_unloaded():
+    # a fresh interpreter, so that no other test has loaded them
+    program = (
+        "import sys, ustep.cli\n"
+        "def interrupted(args):\n"
+        "    raise KeyboardInterrupt\n"
+        "ustep.cli.cmd_parse = interrupted\n"
+        "try:\n"
+        "    ustep.cli.main(['parse'])\n"
+        "except KeyboardInterrupt:\n"
+        "    print(sorted({'concurrent.futures.process', 'multiprocessing'}\n"
+        "                 & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", program],
+                          env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, b"[]\n"), proc.stderr
 
 
 # -- bench -----------------------------------------------------------------

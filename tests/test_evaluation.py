@@ -27,7 +27,7 @@ from ustep.evaluation import (
     synthetic_stream,
 )
 from ustep.miner import Miner, MinerConfig
-from ustep.tokens import ConfigError
+from ustep.tokens import ConfigError, compile_rules
 
 
 REPO = Path(__file__).resolve().parent.parent
@@ -399,6 +399,22 @@ def test_sweep_masks_with_rules_given_once_or_refuses_them():
     # the corpus left unmasked; it is refused as `MinerConfig` refuses it
     with pytest.raises(ConfigError, match="mask_rules"):
         sweep(records, [(0.9, 8)], mask_rules=(r for r in [r"\d+"]))
+
+
+def test_sweep_compiles_the_rules_once_per_config(usable_cpus,
+                                                   monkeypatch):
+    compiled = []
+
+    def counted(patterns):
+        compiled.append(patterns)
+        return compile_rules(patterns)
+
+    monkeypatch.setattr("ustep.miner.compile_rules", counted)
+    usable_cpus(1)
+    records = [LabeledRecord(i + 1, f"job {i} done", "E1") for i in range(5)]
+    sweep(records, [(0.5, 8), (0.7, 4), (0.9, 2)], mask_rules=[r"\d+"])
+    # one per `MinerConfig`; its miners and `sweep` share that one
+    assert len(compiled) == 3
 
 
 def test_sweep_rejects_an_empty_grid():

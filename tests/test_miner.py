@@ -149,11 +149,11 @@ def test_wildcard_positions_are_cached_until_a_position_turns_wildcard():
     assert tpl._slots == ()
     assert m.process_message("Send 512 bytes to a").variables == ["512"]
     assert tpl._slots == (1,)
-    # render() leaves the positions to the next result
+    # render() makes the positions with the text
     update_template(tpl, ["Send", "9", "bytes", "to", "b"])
     assert tpl._slots is None and tpl._text is None
     assert tpl.render() == "Send <*> bytes to <*>"
-    assert tpl._slots is None
+    assert tpl._slots == (1, 4)
     assert m.process_message("Send 7 bytes to c").variables == ["7", "c"]
     assert tpl._slots == (1, 4)
     fresh = Template(tpl.id, list(tpl.tokens), tpl.match_count)
@@ -161,6 +161,19 @@ def test_wildcard_positions_are_cached_until_a_position_turns_wildcard():
     slots = tpl._slots
     update_template(tpl, ["Send", "8", "bytes", "to", "d"])
     assert tpl._slots is slots
+
+
+def test_rendering_a_template_makes_its_wildcard_positions():
+    m = Miner(MinerConfig(phi=4))
+    for line in make_mixed_corpus(random.Random(7), 400):
+        m.template_id(line)     # builds no result, so renders nothing
+    m.templates()
+    held = [t for leaf in m.iter_leaves() for t in leaf.templates]
+    assert any(WILDCARD in t.tokens for t in held)
+    for tpl in held:
+        assert tpl._text is not None
+        assert tpl._slots == tuple(
+            j for j, tt in enumerate(tpl.tokens) if tt == WILDCARD)
 
 
 # -- pivot selection -------------------------------------------------------
